@@ -465,49 +465,6 @@ func (c *Cluster) Get(p *des.Proc, key string) (payload.Payload, error) {
 	return pl, nil
 }
 
-// MGet retrieves several keys in one round trip per shard: the keys
-// are grouped by node, each group pays one request admission and
-// latency, and the values transfer back over the node NIC. This is the
-// batching a Redis pipeline or MGET gives an all-to-all reader —
-// turning w serial request latencies into one per shard. Results are
-// returned in key order; a missing key fails the whole call, like a
-// strict pipeline.
-func (c *Cluster) MGet(p *des.Proc, keys []string) ([]payload.Payload, error) {
-	out := make([]payload.Payload, len(keys))
-	byNode := make(map[*node][]int)
-	for i, key := range keys {
-		n := c.nodeFor(key)
-		byNode[n] = append(byNode[n], i)
-	}
-	// Deterministic shard order: iterate nodes in cluster order.
-	for _, n := range c.nodes {
-		idxs, ok := byNode[n]
-		if !ok {
-			continue
-		}
-		if err := c.admit(p, n); err != nil {
-			return nil, err
-		}
-		c.metrics.GetOps++
-		var batch int64
-		for _, i := range idxs {
-			el, ok := n.items[keys[i]]
-			if !ok {
-				c.metrics.Misses++
-				return nil, &KeyError{Key: keys[i]}
-			}
-			c.metrics.Hits++
-			n.lru.MoveToFront(el)
-			pl := el.Value.(*item).pl
-			out[i] = pl
-			batch += pl.Size()
-		}
-		c.transfer(p, n, batch)
-		c.metrics.BytesOut += batch
-	}
-	return out, nil
-}
-
 // Delete removes a key. Deleting an absent key succeeds, like Redis DEL.
 func (c *Cluster) Delete(p *des.Proc, key string) error {
 	n := c.nodeFor(key)

@@ -187,19 +187,37 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
+// remaining is the count of unread bytes.
+func (r *reader) remaining() uint64 { return uint64(len(r.buf) - r.pos) }
+
+// bytes consumes the next n bytes. The bound is checked against the
+// unread length, so a header length near the integer limit cannot
+// overflow past it.
+func (r *reader) bytes(n uint64) ([]byte, error) {
+	if n > r.remaining() {
 		return nil, ErrCorrupt
 	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
+	b := r.buf[r.pos : r.pos+int(n)]
+	r.pos += int(n)
 	return b, nil
 }
 
-// Decompress decodes a METHCOMP container back into records.
+// maxRecordsPerCodedByte bounds how many records one byte of the
+// range-coded stream can carry. Every record codes 29 adaptive binary
+// decisions (three 7-bit trees and the strand bit); an 11-bit
+// probability adapted with a 5-bit shift saturates at 2017/2048, so
+// each decision costs at least 0.022 bits and each record at least
+// 0.64 — under 12.6 records per byte. Headers claiming more are
+// corrupt and are rejected before anything is allocated from them.
+const maxRecordsPerCodedByte = 13
+
+// Decompress decodes a METHCOMP container back into records. Every
+// count in the header is bounded by the input that must back it before
+// anything is sized from it, so corrupt or hostile input returns
+// ErrCorrupt instead of exhausting memory.
 func Decompress(data []byte) ([]bed.Record, error) {
 	r := &reader{buf: data}
-	mg, err := r.bytes(len(magic) + 1)
+	mg, err := r.bytes(uint64(len(magic) + 1))
 	if err != nil {
 		return nil, err
 	}
@@ -213,17 +231,21 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if count64 > 1<<34 {
-		return nil, fmt.Errorf("%w: absurd record count %d", ErrCorrupt, count64)
+	// The coded stream is part of the rest of the input.
+	if count64 > maxRecordsPerCodedByte*r.remaining() {
+		return nil, fmt.Errorf("%w: record count %d exceeds what %d bytes can code",
+			ErrCorrupt, count64, r.remaining())
 	}
 	count := int(count64)
 
+	// Each chromosome costs at least its length byte, each run two
+	// varint bytes.
 	nChroms, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if nChroms > 1<<20 {
-		return nil, fmt.Errorf("%w: absurd chrom count", ErrCorrupt)
+	if nChroms > r.remaining() {
+		return nil, fmt.Errorf("%w: chrom count %d exceeds the input", ErrCorrupt, nChroms)
 	}
 	chroms := make([]string, nChroms)
 	for i := range chroms {
@@ -231,7 +253,7 @@ func Decompress(data []byte) ([]bed.Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := r.bytes(int(ln))
+		b, err := r.bytes(ln)
 		if err != nil {
 			return nil, err
 		}
@@ -240,6 +262,9 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	nRuns, err := r.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if nRuns > r.remaining()/2 {
+		return nil, fmt.Errorf("%w: run count %d exceeds the input", ErrCorrupt, nRuns)
 	}
 	type run struct {
 		chrom int
@@ -259,6 +284,9 @@ func Decompress(data []byte) ([]bed.Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n > count64-runTotal {
+			return nil, fmt.Errorf("%w: runs exceed count %d", ErrCorrupt, count)
+		}
 		runs = append(runs, run{chrom: int(ci), n: int(n)})
 		runTotal += n
 	}
@@ -275,9 +303,13 @@ func Decompress(data []byte) ([]bed.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	coded, err := r.bytes(int(codedLen))
+	coded, err := r.bytes(codedLen)
 	if err != nil {
 		return nil, err
+	}
+	if count64 > maxRecordsPerCodedByte*codedLen {
+		return nil, fmt.Errorf("%w: record count %d exceeds what %d coded bytes can hold",
+			ErrCorrupt, count64, codedLen)
 	}
 	dec, err := newRangeDecoder(coded)
 	if err != nil {
@@ -324,6 +356,10 @@ func Decompress(data []byte) ([]bed.Record, error) {
 			}
 			recs = append(recs, rec)
 		}
+		// A stream that ran dry decoded zeros, not records.
+		if dec.err != nil {
+			return nil, fmt.Errorf("%w: coded stream ends before record %d", ErrCorrupt, len(recs))
+		}
 	}
 
 	if flags&flagNamesDot == 0 {
@@ -332,7 +368,7 @@ func Decompress(data []byte) ([]bed.Record, error) {
 			if err != nil {
 				return nil, err
 			}
-			b, err := r.bytes(int(ln))
+			b, err := r.bytes(ln)
 			if err != nil {
 				return nil, err
 			}

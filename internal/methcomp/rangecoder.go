@@ -126,9 +126,11 @@ func newRangeDecoder(in []byte) (*rangeDecoder, error) {
 
 func (d *rangeDecoder) nextByte() byte {
 	if d.pos >= len(d.in) {
-		// Reading past the end is legal for the final normalization
-		// bytes; feed zeros but remember in case the caller is truly
-		// over-reading (caught by the record count check upstream).
+		// The encoder's five-byte flush covers every normalization the
+		// decoder performs on a genuine stream, so a read past the end
+		// means the stream is short for the records it claims. Feed
+		// zeros and record it; Decompress fails the stream with
+		// ErrCorrupt.
 		d.err = io.ErrUnexpectedEOF
 		return 0
 	}

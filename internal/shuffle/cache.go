@@ -3,11 +3,8 @@ package shuffle
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"github.com/faaspipe/faaspipe/internal/bed"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/memcache"
@@ -30,12 +27,8 @@ const (
 // output still live in the object store (the datasets' home); only the
 // w x w partition exchange uses the cache.
 type CacheOperator struct {
-	platform *faas.Platform
-	store    *objectstore.Service
-	prov     *memcache.Provisioner
-	// seq allocates job IDs atomically: a session rig shares one
-	// operator across concurrently Submitted jobs.
-	seq atomic.Int64
+	exchange
+	prov *memcache.Provisioner
 }
 
 // NewCacheOperator registers the cache-shuffle functions on the
@@ -44,11 +37,14 @@ func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov 
 	if prov == nil {
 		return nil, errors.New("shuffle: nil cache provisioner")
 	}
-	op := &CacheOperator{platform: platform, store: store, prov: prov}
-	if err := platform.Register(cacheMapFn, cacheMapHandler); err != nil {
+	op := &CacheOperator{prov: prov}
+	op.platform, op.store = platform, store
+	// The same handlers as the object-storage exchange, registered under
+	// the cache's own names: the tasks carry the run store.
+	if err := platform.Register(cacheMapFn, mapHandler); err != nil {
 		return nil, err
 	}
-	if err := platform.Register(cacheReduceFn, cacheReduceHandler); err != nil {
+	if err := platform.Register(cacheReduceFn, reduceHandler); err != nil {
 		return nil, err
 	}
 	return op, nil
@@ -56,8 +52,9 @@ func NewCacheOperator(platform *faas.Platform, store *objectstore.Service, prov 
 
 // CacheSpec describes one cache-exchanged sort job.
 type CacheSpec struct {
-	// Spec carries the common job parameters. ScratchBucket is ignored:
-	// intermediates live in the cache.
+	// Spec carries the common job parameters. Intermediates live in the
+	// cache; ScratchBucket (default: the output bucket) only receives
+	// the runs a dead shard node cannot hold.
 	Spec
 	// Nodes fixes the cluster size; 0 sizes it from the input volume
 	// with Headroom.
@@ -69,10 +66,6 @@ type CacheSpec struct {
 	// still accrues for the job window only, which understates a real
 	// always-on cluster's cost — the ablation's point is latency.
 	Warm bool
-	// BatchedGets fetches each reducer's w partitions with per-shard
-	// MGet pipelining instead of w serial Gets — one request latency
-	// per shard instead of per partition.
-	BatchedGets bool
 	// Cluster, when set, is an already-running cluster owned by the
 	// caller (a session's standing warm cluster): no provisioning
 	// happens, the cluster is left running afterwards, and CacheUSD is
@@ -127,25 +120,12 @@ func CacheProfile(cfg memcache.Config, nodes int) StoreProfile {
 // before and stopped after the exchange; its cost is reported in the
 // result.
 func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) {
-	if err := spec.Spec.validate(); err != nil {
-		return CacheResult{}, err
-	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
 	if spec.Headroom <= 0 {
 		spec.Headroom = defaultCacheHeadroom
 	}
-	jobID := fmt.Sprintf("cacheshuffle-%04d", op.seq.Add(1))
-	client := objectstore.NewClient(op.store)
-
-	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
+	jobID, client, size, err := op.begin(p, &spec.Spec, "cacheshuffle")
 	if err != nil {
-		return CacheResult{}, fmt.Errorf("shuffle: stat input: %w", err)
-	}
-	size := head.Size
-	if size == 0 {
-		return CacheResult{}, errors.New("shuffle: empty input")
+		return CacheResult{}, err
 	}
 
 	nodes := spec.Nodes
@@ -162,28 +142,13 @@ func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) 
 	} else if nodes <= 0 {
 		nodes = memcache.NodesForCapacity(op.prov.Config(), size, spec.Headroom)
 	}
-	res := CacheResult{Nodes: nodes, PeakCacheBytes: size}
-	res.TotalBytes = size
-
 	// Decide parallelism against the cache's throughput profile.
-	workers := spec.Workers
-	if workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, CacheProfile(op.prov.Config(), nodes))
-		if err != nil {
-			return CacheResult{}, err
-		}
-		workers = plan.Workers
-		res.Planned = plan
-		res.AutoPlanned = true
+	base, err := plan(spec.Spec, size, CacheProfile(op.prov.Config(), nodes))
+	if err != nil {
+		return CacheResult{}, err
 	}
-	res.Workers = workers
+	res := CacheResult{Result: base, Nodes: nodes, PeakCacheBytes: size}
+	workers := res.Workers
 
 	// Provision the cluster (skipped when warm: it is already up; or
 	// when the caller owns one: this job just uses it).
@@ -202,6 +167,7 @@ func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) 
 		defer cluster.Stop()
 	}
 	res.Provision = p.Now() - provStart
+	runs := cacheRuns{cache: cluster, fallback: spec.ScratchBucket}
 
 	// Sample for partition boundaries (real mode only).
 	sampleStart := p.Now()
@@ -211,49 +177,19 @@ func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) 
 	}
 	res.Sample = p.Now() - sampleStart
 
-	// Fallback location for slabs a dead shard can't hold: the scratch
-	// bucket (default: the output bucket), as in the store exchange.
-	fb := spec.ScratchBucket
-	if fb == "" {
-		fb = spec.OutputBucket
-	}
-
-	// Phase 1: map / partition into the cache. Slabs sharded to a node
-	// that dies mid-phase degrade to the store fallback per-slab.
+	// Phase 1: map / partition into the cache. Runs sharded to a node
+	// that dies mid-phase degrade to the store fallback per run.
 	p1Start := p.Now()
 	ranges := splitRanges(size, workers)
-	mapInputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		mapInputs[i] = &cacheMapTask{
-			JobID:          jobID,
-			InputBucket:    spec.InputBucket,
-			InputKey:       spec.InputKey,
-			Offset:         ranges[i].off,
-			Length:         ranges[i].n,
-			TotalSize:      size,
-			Workers:        workers,
-			MapIndex:       i,
-			Boundaries:     boundaries,
-			Cache:          cluster,
-			PartitionBps:   spec.PartitionBps,
-			ChunkBytes:     spec.StreamChunkBytes,
-			Buffered:       spec.BufferedRead,
-			FallbackBucket: fb,
-		}
-	}
-	mapOuts, err := op.mapPhase(p, cacheMapFn, mapInputs, spec.Spec)
+	mapOuts, err := op.mapPhase(p, cacheMapFn, mapWave(spec.Spec, jobID, size, ranges, workers, boundaries, runs, nil), spec.Spec)
 	if err != nil {
 		return CacheResult{}, fmt.Errorf("shuffle: cache map phase: %w", err)
 	}
-	for _, o := range mapOuts {
-		if n, ok := o.(int); ok {
-			res.FallbackSlabs += n
-		}
-	}
+	res.FallbackSlabs += sumInts(mapOuts)
 	res.Phase1 = p.Now() - p1Start
 
 	// Phase 2: reduce / merge out of the cache, with bounded recovery:
-	// slabs lost with a dead shard (Set before the node died, no store
+	// runs lost with a dead shard (Set before the node died, no store
 	// copy) are regenerated from the input into the fallback bucket,
 	// and only reducers without durable output re-run.
 	p2Start := p.Now()
@@ -265,44 +201,35 @@ func (op *CacheOperator) Sort(p *des.Proc, spec CacheSpec) (CacheResult, error) 
 	const maxRecoveries = 2
 	for wave := 0; ; wave++ {
 		if cluster.DownNodes() > 0 {
-			lost, err := op.lostSlabs(p, client, cluster, jobID, fb, workers, pending)
+			lost, err := lostRuns(p, client, runs, jobID, workers, pending)
 			if err != nil {
 				return CacheResult{}, fmt.Errorf("shuffle: cache loss scan: %w", err)
 			}
 			if len(lost) > 0 {
-				slabs, rework, err := op.regenerate(p, spec, jobID, cluster, fb, ranges, size, workers, boundaries, lost)
+				forced := runs
+				forced.forceStore = true
+				outs, err := op.mapPhase(p, cacheMapFn, mapWave(spec.Spec, jobID, size, ranges, workers, boundaries, forced, lost), spec.Spec)
 				if err != nil {
 					return CacheResult{}, fmt.Errorf("shuffle: cache slab regen: %w", err)
 				}
 				res.Restarts++
-				res.FallbackSlabs += slabs
-				res.ReworkBytes += rework
+				res.FallbackSlabs += sumInts(outs)
+				for m := range lost {
+					res.ReworkBytes += ranges[m].n
+				}
 			}
 		}
 		redInputs := make([]any, len(pending))
 		for i, r := range pending {
-			redInputs[i] = &cacheReduceTask{
-				JobID:          jobID,
-				Workers:        workers,
-				ReduceIndex:    r,
-				Cache:          cluster,
-				OutputBucket:   spec.OutputBucket,
-				OutputPrefix:   spec.OutputPrefix,
-				MergeBps:       spec.MergeBps,
-				Batched:        spec.BatchedGets,
-				SliceBytes:     size / int64(workers),
-				ChunkBytes:     spec.StreamChunkBytes,
-				Buffered:       spec.BufferedRead,
-				FallbackBucket: fb,
-			}
+			redInputs[i] = spec.reduceTask(jobID, runs, workers, r, r, size/int64(workers))
 		}
 		outs, err := op.mapPhase(p, cacheReduceFn, redInputs, spec.Spec)
 		if err == nil {
-			for i, o := range outs {
-				key, ok := o.(string)
-				if !ok {
-					return CacheResult{}, fmt.Errorf("shuffle: cache reduce returned %T, want string key", o)
-				}
+			keys, err := reducedKeys(outs)
+			if err != nil {
+				return CacheResult{}, err
+			}
+			for i, key := range keys {
 				outKeys[pending[i]] = key
 			}
 			break
@@ -344,486 +271,39 @@ func isNodeLoss(err error) bool {
 	return errors.Is(err, memcache.ErrNodeDown) || errors.Is(err, errSlabLost)
 }
 
-// lostSlabs scans the pending reducers' slab keys for ones sharded to
-// a dead node with no object-storage fallback copy — data that died
-// with the shard and must be regenerated. Results group lost reducer
-// indexes by map index.
-func (op *CacheOperator) lostSlabs(p *des.Proc, client *objectstore.Client, cluster *memcache.Cluster,
-	jobID, fb string, workers int, reducers []int) (map[int][]int, error) {
-	lost := make(map[int][]int)
+// lostRuns scans the pending reducers' runs for ones that died with a
+// shard node, grouping the lost reducer indexes by map index — the
+// regeneration wave's mappers and their runs to re-derive.
+// Deterministic boundaries make the regenerated runs byte-identical
+// to the lost ones.
+func lostRuns(p *des.Proc, client *objectstore.Client, runs runStore,
+	jobID string, workers int, reducers []int) (map[int][]int, error) {
+	keys := make([]string, 0, workers*len(reducers))
 	for m := 0; m < workers; m++ {
 		for _, r := range reducers {
-			if !cluster.NodeDown(cluster.NodeIndexFor(partKey(jobID, m, r))) {
-				continue
-			}
-			if _, err := client.Head(p, fb, fallbackKey(jobID, m, r)); err != nil {
-				if !objectstore.IsNotFound(err) {
-					return nil, err
-				}
-				lost[m] = append(lost[m], r)
-			}
+			keys = append(keys, partKey(jobID, m, r))
 		}
+	}
+	idx, err := runs.lost(p, client, keys)
+	if err != nil {
+		return nil, err
+	}
+	lost := make(map[int][]int)
+	for _, i := range idx {
+		m := i / len(reducers)
+		lost[m] = append(lost[m], reducers[i%len(reducers)])
 	}
 	return lost, nil
 }
 
-// regenerate re-derives lost slabs by re-running the affected map
-// slices in force-store mode, emitting only the lost reducer
-// partitions into the fallback bucket. Deterministic boundaries make
-// the regenerated slabs byte-identical to the lost ones.
-func (op *CacheOperator) regenerate(p *des.Proc, spec CacheSpec, jobID string, cluster *memcache.Cluster,
-	fb string, ranges []byteRange, size int64, workers int, boundaries []Boundary, lost map[int][]int) (int, int64, error) {
-	var inputs []any
-	var rework int64
-	for m := 0; m < workers; m++ {
-		rs, ok := lost[m]
-		if !ok {
-			continue
-		}
-		inputs = append(inputs, &cacheMapTask{
-			JobID:          jobID,
-			InputBucket:    spec.InputBucket,
-			InputKey:       spec.InputKey,
-			Offset:         ranges[m].off,
-			Length:         ranges[m].n,
-			TotalSize:      size,
-			Workers:        workers,
-			MapIndex:       m,
-			Boundaries:     boundaries,
-			Cache:          cluster,
-			PartitionBps:   spec.PartitionBps,
-			ChunkBytes:     spec.StreamChunkBytes,
-			Buffered:       spec.BufferedRead,
-			FallbackBucket: fb,
-			OnlyReducers:   rs,
-			ForceStore:     true,
-		})
-		rework += ranges[m].n
-	}
-	outs, err := op.mapPhase(p, cacheMapFn, inputs, spec.Spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	slabs := 0
+// sumInts totals a wave's int outputs (the map handlers' fallback
+// counts).
+func sumInts(outs []any) int {
+	n := 0
 	for _, o := range outs {
-		if n, ok := o.(int); ok {
-			slabs += n
+		if v, ok := o.(int); ok {
+			n += v
 		}
 	}
-	return slabs, rework, nil
-}
-
-// mapPhase runs one wave of fn over inputs with the spec's fault
-// policy, mirroring Operator.mapPhase.
-func (op *CacheOperator) mapPhase(p *des.Proc, fn string, inputs []any, spec Spec) ([]any, error) {
-	opts := faas.InvokeOptions{MemoryMB: spec.MemoryMB, MaxRetries: spec.MaxRetries}
-	if spec.Speculate {
-		outs, _, err := op.platform.MapSpeculative(p, fn, inputs, opts, spec.Speculation)
-		return outs, err
-	}
-	return op.platform.MapSync(p, fn, inputs, opts)
-}
-
-// cacheMapTask is the input of one cache-exchange map activation.
-type cacheMapTask struct {
-	JobID        string
-	InputBucket  string
-	InputKey     string
-	Offset       int64
-	Length       int64
-	TotalSize    int64
-	Workers      int
-	MapIndex     int
-	Boundaries   []Boundary
-	Cache        *memcache.Cluster
-	PartitionBps float64
-	ChunkBytes   int64
-	Buffered     bool
-	// FallbackBucket receives slabs whose shard node is down: the map
-	// degrades per-slab to the object-storage path instead of failing.
-	FallbackBucket string
-	// OnlyReducers restricts emission to these reducer indexes (nil:
-	// all) — the regeneration wave re-derives only lost slabs.
-	OnlyReducers []int
-	// ForceStore writes every emitted slab to FallbackBucket without
-	// trying the cache (regeneration after a node loss).
-	ForceStore bool
-}
-
-// emits reports whether the task emits reducer r's slab.
-func (t *cacheMapTask) emits(r int) bool {
-	if t.OnlyReducers == nil {
-		return true
-	}
-	for _, x := range t.OnlyReducers {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
-// fallbackKey names a slab's object-storage fallback location.
-func fallbackKey(jobID string, m, r int) string {
-	return "fallback/" + partKey(jobID, m, r)
-}
-
-// setSlab stores one reducer slab, degrading to the object-storage
-// fallback when the shard node is down. A fully dead cluster (zone
-// outage) demotes outright: the cache attempt is skipped, so the job
-// runs the rest of the exchange on the object-store path. It reports
-// whether the slab went to the store.
-func (t *cacheMapTask) setSlab(ctx *faas.Ctx, r int, pl payload.Payload) (bool, error) {
-	if !t.ForceStore && !t.Cache.Dead() {
-		err := t.Cache.Set(ctx.Proc, partKey(t.JobID, t.MapIndex, r), pl)
-		if err == nil {
-			return false, nil
-		}
-		if !errors.Is(err, memcache.ErrNodeDown) || t.FallbackBucket == "" {
-			return false, err
-		}
-	}
-	if t.FallbackBucket == "" {
-		return false, fmt.Errorf("shuffle: cache map %d: no fallback bucket", t.MapIndex)
-	}
-	if err := ctx.Store.Put(ctx.Proc, t.FallbackBucket, fallbackKey(t.JobID, t.MapIndex, r), pl); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// read returns the task's input-slice geometry for the streaming path.
-func (t *cacheMapTask) read() mapRead {
-	return mapRead{
-		Bucket: t.InputBucket, Key: t.InputKey,
-		Offset: t.Offset, Length: t.Length, TotalSize: t.TotalSize,
-		ChunkBytes: t.ChunkBytes, PartitionBps: t.PartitionBps,
-	}
-}
-
-// cacheReduceTask is the input of one cache-exchange reduce activation.
-type cacheReduceTask struct {
-	JobID        string
-	Workers      int
-	ReduceIndex  int
-	Cache        *memcache.Cluster
-	OutputBucket string
-	OutputPrefix string
-	MergeBps     float64
-	Batched      bool
-	// SliceBytes is the planned per-reducer volume, sizing the adaptive
-	// merge/output chunk; ChunkBytes overrides it when set.
-	SliceBytes int64
-	ChunkBytes int64
-	// Buffered restores the pre-streaming merge + monolithic Put.
-	Buffered bool
-	// FallbackBucket holds slabs the map phase rerouted (or a
-	// regeneration wave rebuilt) through object storage after a node
-	// loss; reads fall back here per-slab.
-	FallbackBucket string
-}
-
-// errSlabLost marks a slab gone from both the cache and the store
-// fallback: its shard node died with the data and no regeneration has
-// run yet. The operator reacts by regenerating and re-running.
-var errSlabLost = errors.New("shuffle: cache slab lost")
-
-// fetchRun retrieves mapper m's slab for this reducer, falling back to
-// the object-storage copy when the shard node is down (or the key is
-// gone with a replaced node). A fully dead cluster skips the cache
-// attempt — the demoted job reads everything from the store.
-func (t *cacheReduceTask) fetchRun(p *des.Proc, store *objectstore.Client, m int) (payload.Payload, error) {
-	var err error
-	if t.Cache.Dead() {
-		err = memcache.ErrNodeDown
-	} else {
-		var pl payload.Payload
-		pl, err = t.Cache.Get(p, partKey(t.JobID, m, t.ReduceIndex))
-		if err == nil {
-			return pl, nil
-		}
-		if !errors.Is(err, memcache.ErrNodeDown) && !memcache.IsNotFound(err) {
-			return nil, err
-		}
-	}
-	if t.FallbackBucket == "" {
-		return nil, err
-	}
-	pl, serr := store.Get(p, t.FallbackBucket, fallbackKey(t.JobID, m, t.ReduceIndex))
-	if serr != nil {
-		if objectstore.IsNotFound(serr) {
-			return nil, fmt.Errorf("%w: m%d_r%d (%v)", errSlabLost, m, t.ReduceIndex, err)
-		}
-		return nil, serr
-	}
-	return pl, nil
-}
-
-// cacheMapHandler consumes its input slice from the object store as a
-// stream of chunks, partitioning as they arrive, and Sets one cache
-// entry per reducer — degrading per-slab to the object-storage
-// fallback when a shard node is down. Buffered tasks keep the
-// pre-streaming behavior. It returns the number of slabs that took the
-// fallback path.
-func cacheMapHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*cacheMapTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: cache map input %T", input)
-	}
-	fallbacks := 0
-	if task.Length == 0 {
-		for r := 0; r < task.Workers; r++ {
-			if !task.emits(r) {
-				continue
-			}
-			fb, err := task.setSlab(ctx, r, payload.Real(nil))
-			if err != nil {
-				return nil, err
-			}
-			if fb {
-				fallbacks++
-			}
-		}
-		return fallbacks, nil
-	}
-
-	var (
-		parts [][]byte
-		sized bool
-	)
-	if task.Buffered {
-		readOff, readLen, prefixByte := task.read().span()
-		pl, err := ctx.Store.GetRange(ctx.Proc, task.InputBucket, task.InputKey, readOff, readLen)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache map %d read: %w", task.MapIndex, err)
-		}
-		ctx.ComputeBytes(task.Length, task.PartitionBps)
-		if raw, real := pl.Bytes(); real {
-			parts, err = partitionRaw(raw, prefixByte, task.Offset, task.Length, task.Workers, task.Boundaries)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: cache map %d: %w", task.MapIndex, err)
-			}
-		} else {
-			sized = true
-		}
-	} else {
-		var err error
-		parts, sized, err = consumeMapStream(ctx, task.read(), task.Workers, task.Boundaries)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache map %d: %w", task.MapIndex, err)
-		}
-	}
-
-	if sized {
-		// Sized mode: even split of this worker's slice.
-		base := task.Length / int64(task.Workers)
-		rem := task.Length % int64(task.Workers)
-		for r := 0; r < task.Workers; r++ {
-			n := base
-			if int64(r) < rem {
-				n++
-			}
-			if !task.emits(r) {
-				continue
-			}
-			fb, err := task.setSlab(ctx, r, payload.Sized(n))
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: cache map %d set partition %d: %w", task.MapIndex, r, err)
-			}
-			if fb {
-				fallbacks++
-			}
-		}
-		return fallbacks, nil
-	}
-	for r := 0; r < task.Workers; r++ {
-		if !task.emits(r) {
-			continue
-		}
-		fb, err := task.setSlab(ctx, r, payload.RealNoCopy(parts[r]))
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache map %d set partition %d: %w", task.MapIndex, r, err)
-		}
-		if fb {
-			fallbacks++
-		}
-	}
-	return fallbacks, nil
-}
-
-// cacheReduceHandler Gets its sorted run from every mapper's cache
-// entries, streams a k-way merge over them, and writes one
-// globally-ordered part to the object store. The cache has no chunked
-// read API, so the runs arrive resident — the streaming win here is on
-// the way out: merged lines flow into a multipart streaming PUT whose
-// part uploads overlap the remaining merge CPU, and the runs are fed
-// chunk-wise so the CPU charges interleave with those uploads.
-// Consumed entries are deleted after the output write, mirroring the
-// object-storage reducer's retry-safe ordering.
-func cacheReduceHandler(ctx *faas.Ctx, input any) (any, error) {
-	task, ok := input.(*cacheReduceTask)
-	if !ok {
-		return nil, fmt.Errorf("shuffle: cache reduce input %T", input)
-	}
-	keys := make([]string, task.Workers)
-	for m := 0; m < task.Workers; m++ {
-		keys[m] = partKey(task.JobID, m, task.ReduceIndex)
-	}
-	var parts []payload.Payload
-	batched := task.Batched && !task.Cache.Dead()
-	if batched {
-		var err error
-		parts, err = task.Cache.MGet(ctx.Proc, keys)
-		if err != nil {
-			if !errors.Is(err, memcache.ErrNodeDown) && !memcache.IsNotFound(err) {
-				return nil, fmt.Errorf("shuffle: cache reduce %d mget: %w", task.ReduceIndex, err)
-			}
-			// A strict pipeline fails wholesale on a dead shard; degrade
-			// to per-key fetches so the healthy shards' slabs still come
-			// from the cache and only the lost ones pay the store path.
-			batched = false
-			parts = nil
-		}
-	}
-	if !batched {
-		switch {
-		case task.Buffered:
-			parts = make([]payload.Payload, len(keys))
-			for m := range keys {
-				pl, err := task.fetchRun(ctx.Proc, ctx.Store, m)
-				if err != nil {
-					return nil, fmt.Errorf("shuffle: cache reduce %d fetch m%d: %w", task.ReduceIndex, m, err)
-				}
-				parts[m] = pl
-			}
-		default:
-			// The cache has no chunked-read API, so the streamed reducer's
-			// transfer-in overlap comes from parallel connections instead:
-			// one Get per run, concurrently, sharing node NICs fairly.
-			parts = make([]payload.Payload, len(keys))
-			errs := make([]error, len(keys))
-			wg := des.NewWaitGroup(ctx.Proc.Sim())
-			for m := range keys {
-				m := m
-				wg.Add(1)
-				ctx.Proc.Spawn(fmt.Sprintf("cache-fetch-%d", m), func(up *des.Proc) {
-					defer wg.Done()
-					parts[m], errs[m] = task.fetchRun(up, ctx.Store, m)
-				})
-			}
-			wg.Wait(ctx.Proc)
-			for m, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("shuffle: cache reduce %d fetch m%d: %w", task.ReduceIndex, m, err)
-				}
-			}
-		}
-	}
-	outKey := outputKey(task.OutputPrefix, task.ReduceIndex)
-	if task.Buffered {
-		return cacheReduceBuffered(ctx, task, outKey, keys, parts)
-	}
-
-	perRun := task.SliceBytes
-	if task.Workers > 0 {
-		perRun /= int64(task.Workers)
-	}
-	inChunk := AdaptiveChunkBytes(task.ChunkBytes, perRun)
-	srcs := make([]runSource, len(parts))
-	for i, pl := range parts {
-		srcs[i] = &payloadSource{pl: pl, chunk: inChunk}
-	}
-	outPart := AdaptiveChunkBytes(task.ChunkBytes, task.SliceBytes)
-	w := ctx.Store.PutStream(ctx.Proc, task.OutputBucket, outKey,
-		objectstore.PutStreamOptions{PartBytes: outPart})
-	var buf []byte
-	emit := func(_ bed.Key, line []byte) error {
-		if buf == nil {
-			buf = make([]byte, 0, outPart+int64(len(line))+1)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		if int64(len(buf)) >= outPart {
-			err := w.Write(ctx.Proc, payload.RealNoCopy(buf))
-			buf = nil // the payload retains the buffer; start a fresh one
-			return err
-		}
-		return nil
-	}
-	charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
-	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
-	if err != nil {
-		w.Abort(ctx.Proc)
-		return nil, fmt.Errorf("shuffle: cache reduce %d merge: %w", task.ReduceIndex, err)
-	}
-	if sized {
-		w.Abort(ctx.Proc)
-		if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, payload.Sized(total)); err != nil {
-			return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-		}
-	} else {
-		if len(buf) > 0 {
-			if err := w.Write(ctx.Proc, payload.RealNoCopy(buf)); err != nil {
-				w.Abort(ctx.Proc)
-				return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-			}
-		}
-		if err := w.Close(ctx.Proc); err != nil {
-			return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-		}
-	}
-	for m, key := range keys {
-		if err := task.Cache.Delete(ctx.Proc, key); err != nil {
-			// A dead shard's data is already gone; freeing it is moot.
-			if errors.Is(err, memcache.ErrNodeDown) {
-				continue
-			}
-			return nil, fmt.Errorf("shuffle: cache reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
-	}
-	return outKey, nil
-}
-
-// cacheReduceBuffered is the pre-streaming cache reduce body: merge
-// everything, then one monolithic Put. The A/B baseline.
-func cacheReduceBuffered(ctx *faas.Ctx, task *cacheReduceTask, outKey string,
-	keys []string, parts []payload.Payload) (any, error) {
-	var (
-		runs     [][]byte
-		anySized bool
-		total    int64
-	)
-	for _, pl := range parts {
-		total += pl.Size()
-		if raw, real := pl.Bytes(); real {
-			runs = append(runs, raw)
-		} else {
-			anySized = true
-		}
-	}
-	ctx.ComputeBytes(total, task.MergeBps)
-
-	var out payload.Payload
-	if anySized {
-		out = payload.Sized(total)
-	} else {
-		merged, err := mergeRuns(runs)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: cache reduce %d merge: %w", task.ReduceIndex, err)
-		}
-		out = payload.RealNoCopy(merged)
-	}
-	if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, out); err != nil {
-		return nil, fmt.Errorf("shuffle: cache reduce %d write: %w", task.ReduceIndex, err)
-	}
-	for m, key := range keys {
-		if err := task.Cache.Delete(ctx.Proc, key); err != nil {
-			// A dead shard's data is already gone; freeing it is moot.
-			if errors.Is(err, memcache.ErrNodeDown) {
-				continue
-			}
-			return nil, fmt.Errorf("shuffle: cache reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
-	}
-	return outKey, nil
+	return n
 }

@@ -1,14 +1,12 @@
 package shuffle
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/bed"
-	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
 	"github.com/faaspipe/faaspipe/internal/faas"
 	"github.com/faaspipe/faaspipe/internal/objectstore"
@@ -79,47 +77,16 @@ func autoGroups(w int) int {
 // sorted output is in place. Output parts are globally ordered across
 // groups: group j's k parts are parts j*k .. j*k+k-1.
 func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, error) {
-	if err := spec.Spec.validate(); err != nil {
+	jobID, client, size, err := op.begin(p, &spec.Spec, "hiershuffle")
+	if err != nil {
 		return HierResult{}, err
 	}
-	if spec.ScratchBucket == "" {
-		spec.ScratchBucket = spec.OutputBucket
-	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
-	jobID := fmt.Sprintf("hiershuffle-%04d", op.seq.Add(1))
-	client := objectstore.NewClient(op.store)
-
-	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
+	base, err := plan(spec.Spec, size, ProfileOf(op.store.Config()))
 	if err != nil {
-		return HierResult{}, fmt.Errorf("shuffle: stat input: %w", err)
+		return HierResult{}, err
 	}
-	size := head.Size
-	if size == 0 {
-		return HierResult{}, errors.New("shuffle: empty input")
-	}
-
-	res := HierResult{}
-	res.TotalBytes = size
-
-	workers := spec.Workers
-	if workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, ProfileOf(op.store.Config()))
-		if err != nil {
-			return HierResult{}, err
-		}
-		workers = plan.Workers
-		res.Planned = plan
-		res.AutoPlanned = true
-	}
+	res := HierResult{Result: base}
+	workers := res.Workers
 	groups := spec.Groups
 	if groups <= 0 {
 		groups = autoGroups(workers)
@@ -129,8 +96,9 @@ func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, er
 			"shuffle: %d groups do not divide %d workers", groups, workers)
 	}
 	k := workers / groups // parts (and round-2 workers) per group
-	res.Workers = workers
 	res.Groups = groups
+	runs := storeRuns{bucket: spec.ScratchBucket, cleanup: spec.CleanupScratch}
+	slice := size / int64(workers)
 
 	// One sample yields both boundary levels: global fine boundaries
 	// b_1..b_{w-1}; coarse boundaries are every k-th; fine-within-group
@@ -156,27 +124,9 @@ func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, er
 
 	// Round 1: w mappers spray their slice into g coarse ranges.
 	r1Start := p.Now()
-	ranges := splitRanges(size, workers)
 	r1JobID := jobID + "-r1"
-	r1Inputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		r1Inputs[i] = &mapTask{
-			JobID:         r1JobID,
-			InputBucket:   spec.InputBucket,
-			InputKey:      spec.InputKey,
-			Offset:        ranges[i].off,
-			Length:        ranges[i].n,
-			TotalSize:     size,
-			Workers:       groups,
-			MapIndex:      i,
-			Boundaries:    coarse,
-			ScratchBucket: spec.ScratchBucket,
-			PartitionBps:  spec.PartitionBps,
-			ChunkBytes:    spec.StreamChunkBytes,
-			Buffered:      spec.BufferedRead,
-		}
-	}
-	if _, err := op.mapPhase(p, mapFn, r1Inputs, spec.Spec); err != nil {
+	r1 := mapWave(spec.Spec, r1JobID, size, splitRanges(size, workers), groups, coarse, runs, nil)
+	if _, err := op.mapPhase(p, mapFn, r1, spec.Spec); err != nil {
 		return HierResult{}, fmt.Errorf("shuffle: round 1: %w", err)
 	}
 	res.Round1 = p.Now() - r1Start
@@ -197,18 +147,15 @@ func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, er
 				srcs = append(srcs, partKey(r1JobID, m, g))
 			}
 			repInputs = append(repInputs, &repartitionTask{
-				JobID:         groupJob,
-				ScratchBucket: spec.ScratchBucket,
-				SourceBucket:  spec.ScratchBucket,
-				SourceKeys:    srcs,
-				Workers:       k,
-				MapIndex:      j,
-				Boundaries:    fineFor(g),
-				MergeBps:      spec.MergeBps,
-				Cleanup:       spec.CleanupScratch,
-				SliceBytes:    size / int64(workers),
-				ChunkBytes:    spec.StreamChunkBytes,
-				Buffered:      spec.BufferedRead,
+				JobID:      groupJob,
+				SourceKeys: srcs,
+				Workers:    k,
+				MapIndex:   j,
+				Boundaries: fineFor(g),
+				MergeBps:   spec.MergeBps,
+				SliceBytes: slice,
+				ChunkBytes: spec.StreamChunkBytes,
+				Runs:       runs,
 			})
 		}
 	}
@@ -219,20 +166,7 @@ func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, er
 	for g := 0; g < groups; g++ {
 		groupJob := fmt.Sprintf("%s-r2-g%04d", jobID, g)
 		for r := 0; r < k; r++ {
-			redInputs = append(redInputs, &reduceTask{
-				JobID:         groupJob,
-				ScratchBucket: spec.ScratchBucket,
-				Workers:       k,
-				ReduceIndex:   r,
-				OutputIndex:   g*k + r,
-				OutputBucket:  spec.OutputBucket,
-				OutputPrefix:  spec.OutputPrefix,
-				MergeBps:      spec.MergeBps,
-				Cleanup:       spec.CleanupScratch,
-				SliceBytes:    size / int64(workers),
-				ChunkBytes:    spec.StreamChunkBytes,
-				Buffered:      spec.BufferedRead,
-			})
+			redInputs = append(redInputs, spec.reduceTask(groupJob, runs, k, r, g*k+r, slice))
 		}
 	}
 	outs, err := op.mapPhase(p, reduceFn, redInputs, spec.Spec)
@@ -241,168 +175,92 @@ func (op *Operator) SortHierarchical(p *des.Proc, spec HierSpec) (HierResult, er
 	}
 	res.Round2 = p.Now() - r2Start
 	res.Phase2 = res.Round2
-	for _, o := range outs {
-		key, ok := o.(string)
-		if !ok {
-			return HierResult{}, fmt.Errorf("shuffle: reduce returned %T, want string key", o)
-		}
-		res.OutputKeys = append(res.OutputKeys, key)
+	if res.OutputKeys, err = reducedKeys(outs); err != nil {
+		return HierResult{}, err
 	}
 	sort.Strings(res.OutputKeys) // part-%04d names sort into global order
 	return res, nil
 }
 
-// repartitionTask is the input of one round-2 repartition activation.
+// repartitionTask is the input of one round-2 repartition activation:
+// merge the SourceKeys runs and split them into Workers runs by the
+// group's fine boundaries. Runs holds both the sources and the output.
 type repartitionTask struct {
-	JobID         string
-	ScratchBucket string
-	SourceBucket  string
-	SourceKeys    []string
-	Workers       int
-	MapIndex      int
-	Boundaries    []Boundary
-	MergeBps      float64
-	Cleanup       bool
+	JobID      string
+	SourceKeys []string
+	Workers    int
+	MapIndex   int
+	Boundaries []Boundary
+	MergeBps   float64
 	// SliceBytes is the planned per-worker gather volume, sizing the
 	// adaptive stream chunk; ChunkBytes overrides it when set.
 	SliceBytes int64
 	ChunkBytes int64
-	// Buffered restores the pre-streaming gather (the A/B baseline).
-	Buffered bool
+	Runs       runStore
 }
 
-// repartitionHandler gathers its source objects — round-1 partitions,
-// which are already sorted runs — and streams a k-way cursor merge
-// over them, routing each line to its (fine) boundary partition as it
-// is emitted: merge order makes every output partition a sorted run by
-// construction, so round 2 re-sorts nothing. (The predecessor routed
-// lines one at a time and rebuilt each partition as a run via a
-// per-partition sort, discarding the round-1 sortedness it had already
-// paid for.) Only the key columns of each line are ever parsed; bytes
-// are copied verbatim.
+// repartitionHandler opens its source runs — round-1 partitions, which
+// are already sorted — and merge-splits them by the group's fine
+// boundaries as the chunks arrive (splitEmitter): the g transfers
+// overlap each other and the merge CPU, and round 2 re-sorts nothing.
+// Only the key columns of each line are ever parsed; bytes are copied
+// verbatim.
 func repartitionHandler(ctx *faas.Ctx, input any) (any, error) {
 	task, ok := input.(*repartitionTask)
 	if !ok {
 		return nil, fmt.Errorf("shuffle: repartition input %T", input)
 	}
-	var (
-		consumed []string
-		parts    [][]byte
-		total    int64
-		anySized bool
-	)
-	if task.Buffered {
-		var runs [][]byte
-		for _, key := range task.SourceKeys {
-			pl, err := ctx.Store.Get(ctx.Proc, task.SourceBucket, key)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d fetch %s: %w", task.MapIndex, key, err)
-			}
-			if task.Cleanup {
-				consumed = append(consumed, key)
-			}
-			total += pl.Size()
-			if raw, real := pl.Bytes(); real {
-				runs = append(runs, raw)
-			} else {
-				anySized = true
-			}
-		}
-		ctx.ComputeBytes(total, task.MergeBps)
-		if !anySized {
-			var err error
-			parts, err = mergeSplit(runs, task.Workers, task.Boundaries)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d merge: %w", task.MapIndex, err)
-			}
-		}
-	} else {
-		// Streamed gather: open a chunked stream per source run and
-		// merge-split as the chunks arrive, so the g transfers overlap
-		// each other and the merge CPU. The merge emits lines in
-		// ascending order, so the boundary routing cursor only moves
-		// right — every output partition is a sorted run by construction.
-		perRun := task.SliceBytes
-		if len(task.SourceKeys) > 0 {
-			perRun /= int64(len(task.SourceKeys))
-		}
-		inChunk := AdaptiveChunkBytes(task.ChunkBytes, perRun)
-		srcs := make([]runSource, 0, len(task.SourceKeys))
-		closeSrcs := func() {
-			for _, s := range srcs {
-				s.close()
-			}
-		}
-		for _, key := range task.SourceKeys {
-			cs, err := ctx.Store.GetStream(ctx.Proc, task.SourceBucket, key, 0, -1,
-				objectstore.StreamOptions{ChunkBytes: inChunk})
-			if err != nil {
-				closeSrcs()
-				return nil, fmt.Errorf("shuffle: repartition %d open %s: %w", task.MapIndex, key, err)
-			}
-			srcs = append(srcs, clientStreamSource{cs})
-			if task.Cleanup {
-				consumed = append(consumed, key)
-			}
-		}
-		parts = make([][]byte, task.Workers)
-		hint := 0
-		if task.Workers > 0 && task.SliceBytes > 0 {
-			hint = int(task.SliceBytes)/task.Workers + int(task.SliceBytes)/(4*task.Workers)
-		}
-		cur := 0
-		emit := func(key bed.Key, line []byte) error {
-			for cur < len(task.Boundaries) &&
-				bed.CompareKeyName(task.Boundaries[cur].Key, task.Boundaries[cur].Name, key, chromOf(line)) <= 0 {
-				cur++
-			}
-			if parts[cur] == nil {
-				parts[cur] = make([]byte, 0, hint)
-			}
-			parts[cur] = append(parts[cur], line...)
-			parts[cur] = append(parts[cur], '\n')
-			return nil
-		}
-		charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
-		var err error
-		anySized, total, err = mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
-		closeSrcs()
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: repartition %d merge: %w", task.MapIndex, err)
-		}
+	srcs, err := task.Runs.open(ctx, task.SourceKeys,
+		AdaptiveChunkBytes(task.ChunkBytes, perRun(task.SliceBytes, len(task.SourceKeys))))
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: repartition %d: %w", task.MapIndex, err)
 	}
-
-	if anySized {
-		// Sized mode: even split of the gathered volume.
-		base := total / int64(task.Workers)
-		rem := total % int64(task.Workers)
-		for r := 0; r < task.Workers; r++ {
-			n := base
-			if int64(r) < rem {
-				n++
-			}
-			if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-				partKey(task.JobID, task.MapIndex, r), payload.Sized(n)); err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d write %d: %w", task.MapIndex, r, err)
-			}
-		}
-	} else {
-		for r := 0; r < task.Workers; r++ {
-			if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-				partKey(task.JobID, task.MapIndex, r), payload.RealNoCopy(parts[r])); err != nil {
-				return nil, fmt.Errorf("shuffle: repartition %d write %d: %w", task.MapIndex, r, err)
-			}
-		}
+	parts := make([][]byte, task.Workers)
+	hint := 0
+	if task.Workers > 0 && task.SliceBytes > 0 {
+		hint = int(task.SliceBytes)/task.Workers + int(task.SliceBytes)/(4*task.Workers)
 	}
-	// Source deletes are deferred until every partition this worker
-	// produces is durable, so a MaxRetries re-attempt can re-read its
-	// inputs — the same ordering reduceHandler uses.
-	for _, key := range consumed {
-		if err := ctx.Store.Delete(ctx.Proc, task.SourceBucket, key); err != nil {
-			return nil, fmt.Errorf("shuffle: repartition %d free %s: %w", task.MapIndex, key, err)
-		}
+	emit := splitEmitter(parts, task.Boundaries, hint)
+	charge := func(n int64) { ctx.ComputeBytes(n, task.MergeBps) }
+	sized, total, err := mergeStreamedRuns(ctx.Proc, srcs, charge, emit)
+	closeSources(srcs)
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: repartition %d merge: %w", task.MapIndex, err)
+	}
+	if _, err := putRuns(ctx, task.Runs, task.JobID, task.MapIndex,
+		runPayloads(task.Workers, parts, sized, total), nil); err != nil {
+		return nil, fmt.Errorf("shuffle: repartition %d: %w", task.MapIndex, err)
+	}
+	// Sources are freed only once every partition this worker produces
+	// is durable, so a MaxRetries re-attempt can re-read its inputs —
+	// the same ordering reduceHandler uses.
+	if err := task.Runs.free(ctx, task.SourceKeys); err != nil {
+		return nil, fmt.Errorf("shuffle: repartition %d: %w", task.MapIndex, err)
 	}
 	return nil, nil
+}
+
+// splitEmitter routes merge-ordered lines into boundary partitions,
+// appending each to parts[i] (allocated with capacity hint on first
+// use; partitions that receive nothing stay nil). Lines arrive in
+// ascending key order, so the routing cursor only moves right — O(1)
+// amortized instead of a binary search per line — and every partition
+// is a sorted run by construction.
+func splitEmitter(parts [][]byte, bounds []Boundary, hint int) func(key bed.Key, line []byte) error {
+	cur := 0
+	return func(key bed.Key, line []byte) error {
+		// Keys equal to a boundary route right, as in partitionIndex.
+		for cur < len(bounds) &&
+			bed.CompareKeyName(bounds[cur].Key, bounds[cur].Name, key, chromOf(line)) <= 0 {
+			cur++
+		}
+		if parts[cur] == nil {
+			parts[cur] = make([]byte, 0, hint)
+		}
+		parts[cur] = append(parts[cur], line...)
+		parts[cur] = append(parts[cur], '\n')
+		return nil
+	}
 }
 
 // PredictHierarchical models the two-level shuffle's latency with w

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,15 +27,21 @@ const (
 	defaultSampleBytes = 256 * 1024
 )
 
+// exchange is what every operator shares: the platform its functions
+// run on, the object store holding inputs and outputs, and the job-ID
+// sequence (atomic: a session rig shares one operator across
+// concurrently Submitted jobs).
+type exchange struct {
+	platform *faas.Platform
+	store    *objectstore.Service
+	seq      atomic.Int64
+}
+
 // Operator is a serverless shuffle/sort over an object store. One
 // operator registers its map/reduce functions on a platform once and
 // can then run any number of jobs.
 type Operator struct {
-	platform *faas.Platform
-	store    *objectstore.Service
-	// seq allocates job IDs atomically: a session rig shares one
-	// operator across concurrently Submitted jobs.
-	seq          atomic.Int64
+	exchange
 	hierarchical bool
 }
 
@@ -45,7 +52,8 @@ func (op *Operator) HierarchicalEnabled() bool { return op.hierarchical }
 
 // NewOperator registers the shuffle functions on the platform.
 func NewOperator(platform *faas.Platform, store *objectstore.Service) (*Operator, error) {
-	op := &Operator{platform: platform, store: store}
+	op := &Operator{}
+	op.platform, op.store = platform, store
 	if err := platform.Register(mapFn, mapHandler); err != nil {
 		return nil, err
 	}
@@ -102,10 +110,6 @@ type Spec struct {
 	// (default objectstore.DefaultStreamChunk). Smaller chunks overlap
 	// transfer and partition CPU at finer grain.
 	StreamChunkBytes int64
-	// BufferedRead restores the pre-streaming map read: buffer the
-	// whole ranged GET, then partition. Kept for A/B timing studies and
-	// the byte-identity tests pinning the streaming path against it.
-	BufferedRead bool
 }
 
 func (s Spec) validate() error {
@@ -155,48 +159,16 @@ type Result struct {
 // Sort runs the shuffle, blocking p until the sorted output is in
 // place.
 func (op *Operator) Sort(p *des.Proc, spec Spec) (Result, error) {
-	if err := spec.validate(); err != nil {
+	jobID, client, size, err := op.begin(p, &spec, "shuffle")
+	if err != nil {
 		return Result{}, err
 	}
-	if spec.ScratchBucket == "" {
-		spec.ScratchBucket = spec.OutputBucket
-	}
-	if spec.SampleBytes <= 0 {
-		spec.SampleBytes = defaultSampleBytes
-	}
-	jobID := fmt.Sprintf("shuffle-%04d", op.seq.Add(1))
-	client := objectstore.NewClient(op.store)
-
-	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
+	res, err := plan(spec, size, ProfileOf(op.store.Config()))
 	if err != nil {
-		return Result{}, fmt.Errorf("shuffle: stat input: %w", err)
+		return Result{}, err
 	}
-	size := head.Size
-	if size == 0 {
-		return Result{}, errors.New("shuffle: empty input")
-	}
-
-	res := Result{TotalBytes: size}
-
-	// Decide parallelism.
-	workers := spec.Workers
-	if workers == 0 {
-		plan, err := Optimize(PlanInput{
-			DataBytes:      size,
-			MaxWorkers:     spec.MaxWorkers,
-			WorkerMemBytes: spec.WorkerMemBytes,
-			PartitionBps:   spec.PartitionBps,
-			MergeBps:       spec.MergeBps,
-			Startup:        spec.Startup,
-		}, ProfileOf(op.store.Config()))
-		if err != nil {
-			return Result{}, err
-		}
-		workers = plan.Workers
-		res.Planned = plan
-		res.AutoPlanned = true
-	}
-	res.Workers = workers
+	workers := res.Workers
+	runs := storeRuns{bucket: spec.ScratchBucket, cleanup: spec.CleanupScratch}
 
 	// Sample for partition boundaries ("on the fly", real mode only).
 	sampleStart := p.Now()
@@ -209,25 +181,7 @@ func (op *Operator) Sort(p *des.Proc, spec Spec) (Result, error) {
 	// Phase 1: map / partition.
 	p1Start := p.Now()
 	ranges := splitRanges(size, workers)
-	mapInputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		mapInputs[i] = &mapTask{
-			JobID:         jobID,
-			InputBucket:   spec.InputBucket,
-			InputKey:      spec.InputKey,
-			Offset:        ranges[i].off,
-			Length:        ranges[i].n,
-			TotalSize:     size,
-			Workers:       workers,
-			MapIndex:      i,
-			Boundaries:    boundaries,
-			ScratchBucket: spec.ScratchBucket,
-			PartitionBps:  spec.PartitionBps,
-			ChunkBytes:    spec.StreamChunkBytes,
-			Buffered:      spec.BufferedRead,
-		}
-	}
-	if _, err := op.mapPhase(p, mapFn, mapInputs, spec); err != nil {
+	if _, err := op.mapPhase(p, mapFn, mapWave(spec, jobID, size, ranges, workers, boundaries, runs, nil), spec); err != nil {
 		return Result{}, fmt.Errorf("shuffle: map phase: %w", err)
 	}
 	res.Phase1 = p.Now() - p1Start
@@ -235,53 +189,94 @@ func (op *Operator) Sort(p *des.Proc, spec Spec) (Result, error) {
 	// Phase 2: reduce / merge.
 	p2Start := p.Now()
 	redInputs := make([]any, workers)
-	for i := 0; i < workers; i++ {
-		redInputs[i] = &reduceTask{
-			JobID:         jobID,
-			ScratchBucket: spec.ScratchBucket,
-			Workers:       workers,
-			ReduceIndex:   i,
-			OutputIndex:   i,
-			OutputBucket:  spec.OutputBucket,
-			OutputPrefix:  spec.OutputPrefix,
-			MergeBps:      spec.MergeBps,
-			Cleanup:       spec.CleanupScratch,
-			SliceBytes:    size / int64(workers),
-			ChunkBytes:    spec.StreamChunkBytes,
-			Buffered:      spec.BufferedRead,
-		}
+	for r := range redInputs {
+		redInputs[r] = spec.reduceTask(jobID, runs, workers, r, r, size/int64(workers))
 	}
 	outs, err := op.mapPhase(p, reduceFn, redInputs, spec)
 	if err != nil {
 		return Result{}, fmt.Errorf("shuffle: reduce phase: %w", err)
 	}
 	res.Phase2 = p.Now() - p2Start
-	for _, o := range outs {
-		key, ok := o.(string)
-		if !ok {
-			return Result{}, fmt.Errorf("shuffle: reduce returned %T, want string key", o)
-		}
-		res.OutputKeys = append(res.OutputKeys, key)
+	if res.OutputKeys, err = reducedKeys(outs); err != nil {
+		return Result{}, err
 	}
+	return res, nil
+}
+
+// begin validates spec, fills the defaults every exchange shares,
+// allocates the job ID, and stats the input.
+func (x *exchange) begin(p *des.Proc, spec *Spec, prefix string) (jobID string, client *objectstore.Client, size int64, err error) {
+	if err := spec.validate(); err != nil {
+		return "", nil, 0, err
+	}
+	if spec.ScratchBucket == "" {
+		spec.ScratchBucket = spec.OutputBucket
+	}
+	if spec.SampleBytes <= 0 {
+		spec.SampleBytes = defaultSampleBytes
+	}
+	jobID = fmt.Sprintf("%s-%04d", prefix, x.seq.Add(1))
+	client = objectstore.NewClient(x.store)
+	head, err := client.Head(p, spec.InputBucket, spec.InputKey)
+	if err != nil {
+		return "", nil, 0, fmt.Errorf("shuffle: stat input: %w", err)
+	}
+	if head.Size == 0 {
+		return "", nil, 0, errors.New("shuffle: empty input")
+	}
+	return jobID, client, head.Size, nil
+}
+
+// plan fixes a job's parallelism: spec.Workers when set, otherwise the
+// planner's choice against the exchange medium's profile.
+func plan(spec Spec, size int64, prof StoreProfile) (Result, error) {
+	res := Result{TotalBytes: size, Workers: spec.Workers}
+	if res.Workers > 0 {
+		return res, nil
+	}
+	planned, err := Optimize(PlanInput{
+		DataBytes:      size,
+		MaxWorkers:     spec.MaxWorkers,
+		WorkerMemBytes: spec.WorkerMemBytes,
+		PartitionBps:   spec.PartitionBps,
+		MergeBps:       spec.MergeBps,
+		Startup:        spec.Startup,
+	}, prof)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Workers, res.Planned, res.AutoPlanned = planned.Workers, planned, true
 	return res, nil
 }
 
 // mapPhase runs one wave of fn over inputs with the spec's fault
 // policy: per-invocation retries for transient platform failures and
 // optional straggler speculation.
-func (op *Operator) mapPhase(p *des.Proc, fn string, inputs []any, spec Spec) ([]any, error) {
+func (x *exchange) mapPhase(p *des.Proc, fn string, inputs []any, spec Spec) ([]any, error) {
 	opts := faas.InvokeOptions{MemoryMB: spec.MemoryMB, MaxRetries: spec.MaxRetries}
 	if spec.Speculate {
-		outs, _, err := op.platform.MapSpeculative(p, fn, inputs, opts, spec.Speculation)
+		outs, _, err := x.platform.MapSpeculative(p, fn, inputs, opts, spec.Speculation)
 		return outs, err
 	}
-	return op.platform.MapSync(p, fn, inputs, opts)
+	return x.platform.MapSync(p, fn, inputs, opts)
+}
+
+// reducedKeys reads the output keys a reduce wave returned.
+func reducedKeys(outs []any) ([]string, error) {
+	keys := make([]string, len(outs))
+	for i, o := range outs {
+		key, ok := o.(string)
+		if !ok {
+			return nil, fmt.Errorf("shuffle: reduce returned %T, want string key", o)
+		}
+		keys[i] = key
+	}
+	return keys, nil
 }
 
 // sampleBoundaries reads the head of the input and derives w-1 binary
 // sort-key boundaries from sample quantiles. Sized inputs return nil
-// boundaries (timing-only mode splits evenly). Shared by the
-// object-storage and cache operators.
+// boundaries (timing-only mode splits evenly).
 func sampleBoundaries(p *des.Proc, client *objectstore.Client, spec Spec, size int64, workers int) ([]Boundary, error) {
 	if workers <= 1 {
 		return nil, nil
@@ -365,236 +360,180 @@ func ProfileOf(cfg objectstore.Config) StoreProfile {
 	}
 }
 
-// mapTask is the input of one map-phase activation.
+// mapTask is the input of one map-phase activation: stream the input
+// slice, partition it into Workers sorted runs, write them to Runs.
 type mapTask struct {
-	JobID         string
-	InputBucket   string
-	InputKey      string
-	Offset        int64
-	Length        int64
-	TotalSize     int64
-	Workers       int
-	MapIndex      int
-	Boundaries    []Boundary
-	ScratchBucket string
-	PartitionBps  float64
-	ChunkBytes    int64
-	Buffered      bool
+	mapRead
+	JobID      string
+	Workers    int
+	MapIndex   int
+	Boundaries []Boundary
+	Runs       runStore
+	// OnlyReducers restricts emission to these reducer indexes (nil:
+	// all) — a regeneration wave re-derives only lost runs.
+	OnlyReducers []int
 }
 
-// read returns the task's input-slice geometry for the streaming path.
-func (t *mapTask) read() mapRead {
-	return mapRead{
-		Bucket: t.InputBucket, Key: t.InputKey,
-		Offset: t.Offset, Length: t.Length, TotalSize: t.TotalSize,
-		ChunkBytes: t.ChunkBytes, PartitionBps: t.PartitionBps,
+// mapWave describes one map activation per input range: mapper m
+// streams ranges[m], partitions it into parts runs by bounds, and
+// writes them to runs. A non-nil only restricts the wave to its
+// mappers, each emitting only the listed reducers' runs.
+func mapWave(spec Spec, jobID string, size int64, ranges []byteRange, parts int,
+	bounds []Boundary, runs runStore, only map[int][]int) []any {
+	var wave []any
+	for m, rg := range ranges {
+		rs, ok := only[m]
+		if only != nil && !ok {
+			continue
+		}
+		wave = append(wave, &mapTask{
+			mapRead: mapRead{
+				Bucket: spec.InputBucket, Key: spec.InputKey,
+				Offset: rg.off, Length: rg.n, TotalSize: size,
+				ChunkBytes: spec.StreamChunkBytes, PartitionBps: spec.PartitionBps,
+			},
+			JobID:        jobID,
+			Workers:      parts,
+			MapIndex:     m,
+			Boundaries:   bounds,
+			Runs:         runs,
+			OnlyReducers: rs,
+		})
 	}
+	return wave
 }
 
-// reduceTask is the input of one reduce-phase activation. OutputIndex
-// names the globally-ordered part this reducer emits; the one-level
-// operator sets it to ReduceIndex, the hierarchical operator to the
-// group-offset global index.
+// reduceTask is the input of one reduce-phase activation: merge the
+// Workers runs addressed to ReduceIndex into output part OutputIndex.
+// The one-level exchanges set OutputIndex to ReduceIndex, the
+// hierarchical operator to the group-offset global index.
 type reduceTask struct {
-	JobID         string
-	ScratchBucket string
-	Workers       int
-	ReduceIndex   int
-	OutputIndex   int
-	OutputBucket  string
-	OutputPrefix  string
-	MergeBps      float64
-	Cleanup       bool
+	JobID        string
+	Workers      int
+	ReduceIndex  int
+	OutputIndex  int
+	OutputBucket string
+	OutputPrefix string
+	MergeBps     float64
 	// SliceBytes is the planned per-reducer input volume, sizing the
 	// adaptive stream chunk; ChunkBytes overrides it when set.
 	SliceBytes int64
 	ChunkBytes int64
-	// Buffered restores the pre-streaming reduce: buffer every run,
-	// merge, one monolithic Put. The A/B baseline.
-	Buffered bool
+	Runs       runStore
+}
+
+// reduceTask describes reducer r of a wave merging workers runs each
+// into output part out; slice is the planned per-reducer volume.
+func (s Spec) reduceTask(jobID string, runs runStore, workers, r, out int, slice int64) *reduceTask {
+	return &reduceTask{
+		JobID:        jobID,
+		Workers:      workers,
+		ReduceIndex:  r,
+		OutputIndex:  out,
+		OutputBucket: s.OutputBucket,
+		OutputPrefix: s.OutputPrefix,
+		MergeBps:     s.MergeBps,
+		SliceBytes:   slice,
+		ChunkBytes:   s.StreamChunkBytes,
+		Runs:         runs,
+	}
+}
+
+// perRun divides a worker's planned slice among the n runs it reads.
+func perRun(slice int64, n int) int64 {
+	if n > 0 {
+		return slice / int64(n)
+	}
+	return slice
+}
+
+// runPayloads wraps one run per reducer: the real runs, or — for a
+// timing-only input — the even split of total bytes.
+func runPayloads(workers int, parts [][]byte, sized bool, total int64) []payload.Payload {
+	pls := make([]payload.Payload, workers)
+	if sized {
+		for r, rg := range splitRanges(total, workers) {
+			pls[r] = payload.Sized(rg.n)
+		}
+		return pls
+	}
+	for r, part := range parts {
+		pls[r] = payload.RealNoCopy(part)
+	}
+	return pls
+}
+
+// putRuns writes mapper m's runs, skipping reducers outside a non-nil
+// only, and reports how many fell back to object storage.
+func putRuns(ctx *faas.Ctx, runs runStore, jobID string, m int, pls []payload.Payload, only []int) (int, error) {
+	fellBack := 0
+	for r, pl := range pls {
+		if only != nil && !slices.Contains(only, r) {
+			continue
+		}
+		fb, err := runs.put(ctx, partKey(jobID, m, r), pl)
+		if err != nil {
+			return 0, fmt.Errorf("write partition %d: %w", r, err)
+		}
+		if fb {
+			fellBack++
+		}
+	}
+	return fellBack, nil
 }
 
 // mapHandler consumes its input slice as a stream of chunks,
 // partitioning records by the binary sort-key boundaries as they
-// arrive, and writes one sorted run per reducer. Buffered tasks keep
-// the pre-streaming read-everything-first behavior.
+// arrive, and writes one sorted run per reducer to the task's run
+// store. It returns how many runs fell back to object storage.
 func mapHandler(ctx *faas.Ctx, input any) (any, error) {
 	task, ok := input.(*mapTask)
 	if !ok {
 		return nil, fmt.Errorf("shuffle: map input %T", input)
 	}
+	var (
+		parts [][]byte
+		sized bool
+	)
 	if task.Length == 0 {
-		// Degenerate split (more workers than bytes): write empty
-		// partitions to keep the key structure uniform.
-		for r := 0; r < task.Workers; r++ {
-			if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-				partKey(task.JobID, task.MapIndex, r), payload.Real(nil)); err != nil {
-				return nil, err
-			}
+		// Degenerate split (more workers than bytes): write empty runs
+		// to keep the key structure uniform.
+		parts = make([][]byte, task.Workers)
+	} else {
+		var err error
+		parts, sized, err = consumeMapStream(ctx, task.mapRead, task.Workers, task.Boundaries)
+		if err != nil {
+			return nil, fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
 		}
-		return nil, nil
 	}
-	if task.Buffered {
-		return mapBuffered(ctx, task)
-	}
-	parts, sized, err := consumeMapStream(ctx, task.read(), task.Workers, task.Boundaries)
+	n, err := putRuns(ctx, task.Runs, task.JobID, task.MapIndex,
+		runPayloads(task.Workers, parts, sized, task.Length), task.OnlyReducers)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
 	}
-	if sized {
-		return mapSized(ctx, task)
-	}
-	for r := 0; r < task.Workers; r++ {
-		if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-			partKey(task.JobID, task.MapIndex, r), payload.RealNoCopy(parts[r])); err != nil {
-			return nil, fmt.Errorf("shuffle: map %d write partition %d: %w", task.MapIndex, r, err)
-		}
-	}
-	return nil, nil
+	return n, nil
 }
 
-// mapBuffered is the pre-streaming map body: one blocking ranged GET,
-// then partitioning. The whole slice's transfer and CPU add up
-// serially; kept behind Spec.BufferedRead as the A/B baseline.
-func mapBuffered(ctx *faas.Ctx, task *mapTask) (any, error) {
-	readOff, readLen, prefixByte := task.read().span()
-	pl, err := ctx.Store.GetRange(ctx.Proc, task.InputBucket, task.InputKey, readOff, readLen)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: map %d read: %w", task.MapIndex, err)
-	}
-	ctx.ComputeBytes(task.Length, task.PartitionBps)
-
-	raw, real := pl.Bytes()
-	if !real {
-		return mapSized(ctx, task)
-	}
-	return nil, mapReal(ctx, task, raw, prefixByte)
-}
-
-func mapReal(ctx *faas.Ctx, task *mapTask, raw []byte, prefixByte bool) error {
-	parts, err := partitionRaw(raw, prefixByte, task.Offset, task.Length, task.Workers, task.Boundaries)
-	if err != nil {
-		return fmt.Errorf("shuffle: map %d: %w", task.MapIndex, err)
-	}
-	for r := 0; r < task.Workers; r++ {
-		if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-			partKey(task.JobID, task.MapIndex, r), payload.RealNoCopy(parts[r])); err != nil {
-			return fmt.Errorf("shuffle: map %d write partition %d: %w", task.MapIndex, r, err)
-		}
-	}
-	return nil
-}
-
-// partitionRaw splits the lines of raw owned by the slice
-// [offset, offset+length) into one sorted run per reducer, routing
-// each record by its binary sort key against the boundaries.
-// prefixByte reports that raw begins one byte before offset (to decide
-// first-line ownership). Shared by the object-storage and cache
-// operators.
-func partitionRaw(raw []byte, prefixByte bool, offset, length int64, workers int, boundaries []Boundary) ([][]byte, error) {
-	// Determine the first line that starts within [offset, offset+length).
-	start := 0
-	if prefixByte {
-		if raw[0] == '\n' {
-			start = 1 // a line starts exactly at offset: ours
-		} else {
-			nl := bytes.IndexByte(raw, '\n')
-			if nl < 0 {
-				return nil, errNoLineStart
-			}
-			start = nl + 1
-		}
-	}
-	// Lines whose start position (global) is < offset+length are ours.
-	globalStart := func(local int) int64 {
-		off := offset
-		if prefixByte {
-			off--
-		}
-		return off + int64(local)
-	}
-	limit := offset + length
-
-	builder := newRunBuilder(workers, boundaries)
-	builder.sizeHint(len(raw))
-	pos := start
-	for pos < len(raw) && globalStart(pos) < limit {
-		nl := bytes.IndexByte(raw[pos:], '\n')
-		var line []byte
-		if nl < 0 {
-			line = raw[pos:]
-			pos = len(raw)
-		} else {
-			line = raw[pos : pos+nl]
-			pos += nl + 1
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if err := builder.Add(line); err != nil {
-			return nil, err
-		}
-	}
-	return builder.Finish(), nil
-}
-
-// mapSized handles timing-only payloads: partition sizes are the even
-// split of this worker's slice.
-func mapSized(ctx *faas.Ctx, task *mapTask) (any, error) {
-	base := task.Length / int64(task.Workers)
-	rem := task.Length % int64(task.Workers)
-	for r := 0; r < task.Workers; r++ {
-		n := base
-		if int64(r) < rem {
-			n++
-		}
-		if err := ctx.Store.Put(ctx.Proc, task.ScratchBucket,
-			partKey(task.JobID, task.MapIndex, r), payload.Sized(n)); err != nil {
-			return nil, fmt.Errorf("shuffle: map %d write partition %d: %w", task.MapIndex, r, err)
-		}
-	}
-	return nil, nil
-}
-
-// reduceHandler opens a chunked stream over every mapper's sorted run
-// and k-way merges them as the chunks arrive, the merged lines flowing
-// straight into a multipart streaming PUT — transfer-in, merge CPU, and
-// transfer-out all overlap, so the reduce leg costs their max instead
-// of their sum. No re-parse of full records, no re-sort, no
-// re-serialization. It returns the output key. Buffered tasks keep the
-// pre-streaming fetch-all-then-merge body.
+// reduceHandler opens every mapper's sorted run and k-way merges them
+// as the chunks arrive, the merged lines flowing straight into a
+// multipart streaming PUT — transfer-in, merge CPU, and transfer-out
+// all overlap, so the reduce leg costs their max instead of their sum.
+// No re-parse of full records, no re-sort, no re-serialization. It
+// returns the output key.
 func reduceHandler(ctx *faas.Ctx, input any) (any, error) {
 	task, ok := input.(*reduceTask)
 	if !ok {
 		return nil, fmt.Errorf("shuffle: reduce input %T", input)
 	}
-	if task.Buffered {
-		return reduceBuffered(ctx, task)
+	keys := make([]string, task.Workers)
+	for m := range keys {
+		keys[m] = partKey(task.JobID, m, task.ReduceIndex)
 	}
-	perRun := task.SliceBytes
-	if task.Workers > 0 {
-		perRun /= int64(task.Workers)
+	srcs, err := task.Runs.open(ctx, keys, AdaptiveChunkBytes(task.ChunkBytes, perRun(task.SliceBytes, task.Workers)))
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: reduce %d: %w", task.ReduceIndex, err)
 	}
-	inChunk := AdaptiveChunkBytes(task.ChunkBytes, perRun)
-	srcs := make([]runSource, 0, task.Workers)
-	defer func() {
-		for _, s := range srcs {
-			s.close()
-		}
-	}()
-	var consumed []string
-	for m := 0; m < task.Workers; m++ {
-		key := partKey(task.JobID, m, task.ReduceIndex)
-		cs, err := ctx.Store.GetStream(ctx.Proc, task.ScratchBucket, key, 0, -1,
-			objectstore.StreamOptions{ChunkBytes: inChunk})
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d open m%d: %w", task.ReduceIndex, m, err)
-		}
-		srcs = append(srcs, clientStreamSource{cs})
-		if task.Cleanup {
-			consumed = append(consumed, key)
-		}
-	}
+	defer closeSources(srcs)
 
 	outKey := outputKey(task.OutputPrefix, task.OutputIndex)
 	outPart := AdaptiveChunkBytes(task.ChunkBytes, task.SliceBytes)
@@ -636,70 +575,13 @@ func reduceHandler(ctx *faas.Ctx, input any) (any, error) {
 			return nil, fmt.Errorf("shuffle: reduce %d write: %w", task.ReduceIndex, err)
 		}
 	}
-	// Scratch deletes are deferred until the output part is durable: a
+	// Consumed runs are freed only once the output part is durable: a
 	// reducer retried after a transient platform failure (MaxRetries)
-	// must be able to re-fetch every partition, so nothing may be
-	// deleted by an attempt that did not finish. Close returning nil is
-	// the durability point — the multipart complete has been admitted.
-	for m, key := range consumed {
-		if err := ctx.Store.Delete(ctx.Proc, task.ScratchBucket, key); err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
-	}
-	return outKey, nil
-}
-
-// reduceBuffered is the pre-streaming reduce body: fetch every run
-// whole, merge, one monolithic Put. Transfer-in, merge CPU, and
-// transfer-out add up serially; kept behind Spec.BufferedRead as the
-// A/B baseline the byte-identity tests pin the streamed path against.
-func reduceBuffered(ctx *faas.Ctx, task *reduceTask) (any, error) {
-	var (
-		runs     [][]byte
-		consumed []string
-		anySized bool
-		total    int64
-	)
-	for m := 0; m < task.Workers; m++ {
-		key := partKey(task.JobID, m, task.ReduceIndex)
-		pl, err := ctx.Store.Get(ctx.Proc, task.ScratchBucket, key)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d fetch m%d: %w", task.ReduceIndex, m, err)
-		}
-		if task.Cleanup {
-			consumed = append(consumed, key)
-		}
-		total += pl.Size()
-		if raw, real := pl.Bytes(); real {
-			runs = append(runs, raw)
-		} else {
-			anySized = true
-		}
-	}
-	ctx.ComputeBytes(total, task.MergeBps)
-
-	outKey := outputKey(task.OutputPrefix, task.OutputIndex)
-	var out payload.Payload
-	if anySized {
-		out = payload.Sized(total)
-	} else {
-		merged, err := mergeRuns(runs)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d merge: %w", task.ReduceIndex, err)
-		}
-		out = payload.RealNoCopy(merged)
-	}
-	if err := ctx.Store.Put(ctx.Proc, task.OutputBucket, outKey, out); err != nil {
-		return nil, fmt.Errorf("shuffle: reduce %d write: %w", task.ReduceIndex, err)
-	}
-	// Scratch deletes are deferred until the output part is durable: a
-	// reducer retried after a transient platform failure (MaxRetries)
-	// must be able to re-fetch every partition, so nothing may be
-	// deleted by an attempt that did not finish.
-	for m, key := range consumed {
-		if err := ctx.Store.Delete(ctx.Proc, task.ScratchBucket, key); err != nil {
-			return nil, fmt.Errorf("shuffle: reduce %d free m%d: %w", task.ReduceIndex, m, err)
-		}
+	// must be able to re-fetch every run, so nothing may be freed by an
+	// attempt that did not finish. Close returning nil is the
+	// durability point — the multipart complete has been admitted.
+	if err := task.Runs.free(ctx, keys); err != nil {
+		return nil, fmt.Errorf("shuffle: reduce %d: %w", task.ReduceIndex, err)
 	}
 	return outKey, nil
 }

@@ -99,78 +99,67 @@ func TestPropertyLineFeederMatchesPartitionRaw(t *testing.T) {
 
 // TestGoldenStreamingMatchesBuffered: all three operators, streamed
 // with a chunk size guaranteed to split records mid-line, must produce
-// output byte-identical to the buffered read path (and to the seed
-// oracle).
+// output byte-identical to the seed oracle — the bytes the buffered
+// read path this streaming path replaced produced.
 func TestGoldenStreamingMatchesBuffered(t *testing.T) {
 	const chunk = 1009 // prime, ~21 bedMethyl lines: every chunk ends mid-line
 	recs := bed.Generate(bed.GenConfig{Records: 5000, Seed: 84, Sorted: false})
 	want := seedSortedBytes(recs)
 
-	runOnce := func(buffered bool) (oneLevel, hier, cache []byte) {
-		rig := newHierRig(t)
-		var got, gotHier []byte
-		rig.sim.Spawn("driver", func(p *des.Proc) {
-			rig.loadInput(t, p, recs)
-			spec := sortSpec(6)
-			spec.StreamChunkBytes = chunk
-			spec.BufferedRead = buffered
-			res, err := rig.op.Sort(p, spec)
-			if err != nil {
-				t.Errorf("Sort(buffered=%v): %v", buffered, err)
-				return
-			}
-			got = fetchRawParts(t, rig, p, res.OutputKeys)
-			hs := hierSpec(8, 4)
-			hs.StreamChunkBytes = chunk
-			hs.BufferedRead = buffered
-			hs.OutputPrefix = "sorted/h/"
-			hres, err := rig.op.SortHierarchical(p, hs)
-			if err != nil {
-				t.Errorf("SortHierarchical(buffered=%v): %v", buffered, err)
-				return
-			}
-			gotHier = fetchRawParts(t, rig, p, hres.OutputKeys)
-		})
-		if err := rig.sim.Run(); err != nil {
-			t.Fatalf("sim: %v", err)
+	rig := newHierRig(t)
+	var oneLevel, hier []byte
+	rig.sim.Spawn("driver", func(p *des.Proc) {
+		rig.loadInput(t, p, recs)
+		spec := sortSpec(6)
+		spec.StreamChunkBytes = chunk
+		res, err := rig.op.Sort(p, spec)
+		if err != nil {
+			t.Errorf("Sort: %v", err)
+			return
 		}
-
-		crig, _, cop := newCacheRig(t)
-		var gotCache []byte
-		crig.sim.Spawn("driver", func(p *des.Proc) {
-			crig.loadInput(t, p, recs)
-			cs := cacheSpec(5)
-			cs.StreamChunkBytes = chunk
-			cs.BufferedRead = buffered
-			res, err := cop.Sort(p, cs)
-			if err != nil {
-				t.Errorf("cache Sort(buffered=%v): %v", buffered, err)
-				return
-			}
-			gotCache = fetchRawParts(t, crig, p, res.OutputKeys)
-		})
-		if err := crig.sim.Run(); err != nil {
-			t.Fatalf("cache sim: %v", err)
+		oneLevel = fetchRawParts(t, rig, p, res.OutputKeys)
+		hs := hierSpec(8, 4)
+		hs.StreamChunkBytes = chunk
+		hs.OutputPrefix = "sorted/h/"
+		hres, err := rig.op.SortHierarchical(p, hs)
+		if err != nil {
+			t.Errorf("SortHierarchical: %v", err)
+			return
 		}
-		return got, gotHier, gotCache
+		hier = fetchRawParts(t, rig, p, hres.OutputKeys)
+	})
+	if err := rig.sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
 	}
 
-	s1, sh, sc := runOnce(false)
-	b1, bh, bc := runOnce(true)
-	for _, c := range []struct {
-		name           string
-		stream, buffer []byte
-	}{
-		{"one-level", s1, b1},
-		{"hierarchical", sh, bh},
-		{"cache", sc, bc},
-	} {
-		if !bytes.Equal(c.stream, c.buffer) {
-			t.Errorf("%s: streamed output differs from buffered (%d vs %d bytes)",
-				c.name, len(c.stream), len(c.buffer))
+	crig, _, cop := newCacheRig(t)
+	var cache []byte
+	crig.sim.Spawn("driver", func(p *des.Proc) {
+		crig.loadInput(t, p, recs)
+		cs := cacheSpec(5)
+		cs.StreamChunkBytes = chunk
+		res, err := cop.Sort(p, cs)
+		if err != nil {
+			t.Errorf("cache Sort: %v", err)
+			return
 		}
-		if !bytes.Equal(c.stream, want) {
-			t.Errorf("%s: streamed output differs from seed oracle", c.name)
+		cache = fetchRawParts(t, crig, p, res.OutputKeys)
+	})
+	if err := crig.sim.Run(); err != nil {
+		t.Fatalf("cache sim: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		got  []byte
+	}{
+		{"one-level", oneLevel},
+		{"hierarchical", hier},
+		{"cache", cache},
+	} {
+		if !bytes.Equal(c.got, want) {
+			t.Errorf("%s: streamed output differs from seed oracle (%d vs %d bytes)",
+				c.name, len(c.got), len(want))
 		}
 	}
 }
@@ -237,74 +226,83 @@ func TestStreamingMapUnderStoreFailures(t *testing.T) {
 
 // TestStreamingMapOverlapsTransfer is the acceptance criterion: on the
 // 256k-record workload the streamed map stage's wall time must beat
-// the buffered transfer + partition sum, because partition CPU now
-// hides inside the remaining transfer.
+// the serial transfer + partition sum, because partition CPU now hides
+// inside the remaining transfer.
 func TestStreamingMapOverlapsTransfer(t *testing.T) {
 	recs := bed.Generate(bed.GenConfig{Records: 1 << 18, Seed: 19, Sorted: false})
 
-	run := func(buffered bool) (Result, int64) {
-		sim := des.New(5)
-		store, err := objectstore.New(sim, objectstore.Config{
-			RequestLatency:   time.Millisecond,
-			PerConnBandwidth: 4e6, // slow enough that transfer rivals CPU
-			ReadOpsPerSec:    1e6,
-			WriteOpsPerSec:   1e6,
-			OpsBurst:         1e6,
-		})
-		if err != nil {
-			t.Fatalf("store: %v", err)
-		}
-		pf, err := faas.New(sim, store, faas.Config{
-			ColdStart:          50 * time.Millisecond,
-			WarmStart:          5 * time.Millisecond,
-			KeepAlive:          10 * time.Minute,
-			MemoryMB:           2048,
-			BaselineMemoryMB:   2048,
-			ConcurrencyLimit:   500,
-			BillingGranularity: 100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("platform: %v", err)
-		}
-		op, err := NewOperator(pf, store)
-		if err != nil {
-			t.Fatalf("operator: %v", err)
-		}
-		rig := &testRig{sim: sim, store: store, pf: pf, op: op}
-		spec := sortSpec(4)
-		spec.PartitionBps = 4e6 // transfer-bound ≈ CPU-bound: maximal overlap win
-		spec.MergeBps = 50e6
-		spec.StreamChunkBytes = 256 << 10
-		spec.BufferedRead = buffered
-		res, sorted := runSort(t, rig, recs, spec)
-		if len(sorted) != len(recs) || !bed.IsSorted(sorted) {
-			t.Fatal("overlap rig sorted incorrectly")
-		}
-		return res, res.TotalBytes
+	const (
+		lat  = time.Millisecond
+		bw   = 4e6 // slow enough that transfer rivals CPU
+		cold = 50 * time.Millisecond
+		cpu  = 4e6 // transfer-bound ≈ CPU-bound: maximal overlap win
+	)
+	sim := des.New(5)
+	store, err := objectstore.New(sim, objectstore.Config{
+		RequestLatency:   lat,
+		PerConnBandwidth: bw,
+		ReadOpsPerSec:    1e6,
+		WriteOpsPerSec:   1e6,
+		OpsBurst:         1e6,
+	})
+	if err != nil {
+		t.Fatalf("store: %v", err)
+	}
+	pf, err := faas.New(sim, store, faas.Config{
+		ColdStart:          cold,
+		WarmStart:          5 * time.Millisecond,
+		KeepAlive:          10 * time.Minute,
+		MemoryMB:           2048,
+		BaselineMemoryMB:   2048,
+		ConcurrencyLimit:   500,
+		BillingGranularity: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
+	op, err := NewOperator(pf, store)
+	if err != nil {
+		t.Fatalf("operator: %v", err)
+	}
+	rig := &testRig{sim: sim, store: store, pf: pf, op: op}
+	spec := sortSpec(4)
+	spec.PartitionBps = cpu
+	spec.MergeBps = 50e6
+	spec.StreamChunkBytes = 256 << 10
+	res, sorted := runSort(t, rig, recs, spec)
+	if len(sorted) != len(recs) || !bed.IsSorted(sorted) {
+		t.Fatal("overlap rig sorted incorrectly")
 	}
 
-	streamRes, size := run(false)
-	bufRes, _ := run(true)
-
-	// The buffered map pays read transfer + partition CPU serially;
-	// streaming should hide the smaller of the two inside the other.
-	// Both variants share the partition-write leg and startup, so the
-	// win must be ~min(readTransfer, streamCPU) of wall time.
-	perWorker := float64(size) / 4
-	readLeg := time.Duration(perWorker / 4e6 * float64(time.Second))
-	streamBps, _ := MapStreamRates(4e6)
+	// A serial map pays read transfer + partition CPU one after the
+	// other; streaming should hide the smaller of the two inside the
+	// other. Both share the partition-write leg and startup, so the win
+	// must be ~min(readTransfer, streamCPU) of wall time.
+	serial := serialMapPhase(lat, bw, cold, res.TotalBytes, 4, cpu)
+	perWorker := float64(res.TotalBytes) / 4
+	readLeg := time.Duration(perWorker / bw * float64(time.Second))
+	streamBps, _ := MapStreamRates(cpu)
 	streamCPU := time.Duration(perWorker / streamBps * float64(time.Second))
-	hidden := readLeg
-	if streamCPU < hidden {
-		hidden = streamCPU
+	hidden := min(readLeg, streamCPU)
+	if res.Phase1 >= serial {
+		t.Fatalf("streamed Phase1 %v not faster than the serial legs %v", res.Phase1, serial)
 	}
-	if streamRes.Phase1 >= bufRes.Phase1 {
-		t.Fatalf("streamed Phase1 %v not faster than buffered %v", streamRes.Phase1, bufRes.Phase1)
+	if bound := serial - hidden*7/10; res.Phase1 > bound {
+		t.Fatalf("streamed Phase1 %v hides too little of the %v overlappable leg (serial %v, want <= %v)",
+			res.Phase1, hidden, serial, bound)
 	}
-	if bound := bufRes.Phase1 - hidden*7/10; streamRes.Phase1 > bound {
-		t.Fatalf("streamed Phase1 %v hides too little of the %v overlappable leg (buffered %v, want <= %v)",
-			streamRes.Phase1, hidden, bufRes.Phase1, bound)
-	}
-	t.Logf("map phase1: streamed %v vs buffered %v (saved %v of %v overlappable)",
-		streamRes.Phase1, bufRes.Phase1, bufRes.Phase1-streamRes.Phase1, hidden)
+	t.Logf("map phase1: streamed %v vs serial legs %v (saved %v of %v overlappable)",
+		res.Phase1, serial, serial-res.Phase1, hidden)
+}
+
+// serialMapPhase is the map phase with no overlap — the sum of its
+// legs, derived from the rig's configured rates: a cold start, one
+// ranged GET of the widest slice (one byte before it plus the
+// overscan), the whole slice's partition CPU, then one PUT per reducer
+// whose payloads add up to the slice. It matched the measured phase of
+// the buffered read path it stands in for to within 10 µs of 2.86 s.
+func serialMapPhase(lat time.Duration, bw float64, cold time.Duration, size int64, workers int, partitionBps float64) time.Duration {
+	slice := float64((size + int64(workers) - 1) / int64(workers))
+	secs := (slice+1+overscan)/bw + slice/partitionBps + slice/bw
+	return cold + time.Duration(1+workers)*lat + time.Duration(secs*float64(time.Second))
 }

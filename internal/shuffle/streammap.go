@@ -43,8 +43,9 @@ func MapStreamRates(partitionBps float64) (streamBps, sortBps float64) {
 }
 
 // lineFeeder splits streamed chunks into complete lines and feeds the
-// slice's owned ones to fn, replicating partitionRaw's ownership rules
-// incrementally: lines whose global start position is inside
+// slice's owned ones to fn, applying the mapper ownership rules
+// incrementally (partitionRaw, the test oracle, applies them to one
+// buffer): lines whose global start position is inside
 // [offset, limit) belong to this mapper; a partial trailing line is
 // carried across chunk boundaries; blank lines are skipped; the
 // unterminated final line (no trailing newline at stream end) is
@@ -113,8 +114,7 @@ func (f *lineFeeder) feed(chunk []byte) error {
 // finish flushes the unterminated final line once the stream ends.
 func (f *lineFeeder) finish() error {
 	if f.skipFirst {
-		// The whole stream was one line with no start inside the slice —
-		// the same condition the buffered path reports.
+		// The whole stream was one line with no start inside the slice.
 		return errNoLineStart
 	}
 	if f.done || len(f.carry) == 0 {

@@ -99,12 +99,11 @@ func (s *payloadSource) next(p *des.Proc) (payload.Payload, error) {
 
 func (s *payloadSource) close() {}
 
-// streamCursor walks one chunk-fed sorted run line by line, the
-// streaming counterpart of runCursor. Lines fully inside a chunk are
-// views into the chunk's payload bytes (which outlive the chunk); a
-// line spanning chunks is assembled in one of two alternating carry
-// buffers, so the sortedness check's previous line — possibly itself
-// carried — stays intact while the next one assembles.
+// streamCursor walks one chunk-fed sorted run line by line. Lines
+// fully inside a chunk are views into the chunk's payload bytes (which
+// outlive the chunk); a line spanning chunks is assembled in one of two
+// alternating carry buffers, so the sortedness check's previous line —
+// possibly itself carried — stays intact while the next one assembles.
 type streamCursor struct {
 	src    runSource
 	proc   *des.Proc
@@ -143,8 +142,9 @@ func (c *streamCursor) nextChunk() error {
 }
 
 // advance loads the cursor's next non-blank line, pulling chunks as
-// needed and verifying the run stays sorted across chunk boundaries —
-// the same mapper invariant runCursor.advance enforces.
+// needed and verifying the run stays sorted across chunk boundaries:
+// the mappers' invariant, so a violation means a corrupted run, and
+// merging it would emit unsorted output.
 func (c *streamCursor) advance() error {
 	prevKey, prevLine, hadPrev := c.key, c.line, c.live
 	c.live = false
@@ -209,7 +209,7 @@ func (c *streamCursor) load(line []byte, prevKey bed.Key, prevLine []byte, hadPr
 }
 
 // streamCursorLess orders heap entries in exact genome order, then run
-// index for deterministic merges — cursorLess over streamed cursors.
+// index for deterministic merges.
 func streamCursorLess(a, b *streamCursor) bool {
 	if c := compareLineKeys(a.key, a.line, b.key, b.line); c != 0 {
 		return c < 0
@@ -274,7 +274,7 @@ func mergeStreamedRuns(p *des.Proc, srcs []runSource, charge func(int64),
 
 // drainStreamedSized consumes the rest of every source purely for byte
 // accounting once a sized chunk voids the line merge, so the handler's
-// CPU and transfer charges match the buffered path's.
+// CPU and transfer charges cover every byte of every run.
 func drainStreamedSized(p *des.Proc, cursors []streamCursor, charge func(int64)) (bool, int64, error) {
 	var total int64
 	for i := range cursors {

@@ -127,7 +127,7 @@ func TestExchangeTimingGolden(t *testing.T) {
 		rows = append(rows, name+": "+e.String())
 		return e
 	}
-	real := func(rig *testRig, seed int64, n int) func(p *des.Proc) {
+	records := func(rig *testRig, seed int64, n int) func(p *des.Proc) {
 		recs := bed.Generate(bed.GenConfig{Records: n, Seed: seed, Sorted: false})
 		return func(p *des.Proc) { rig.loadInput(t, p, recs) }
 	}
@@ -156,13 +156,13 @@ func TestExchangeTimingGolden(t *testing.T) {
 
 	{
 		rig := newRig(t)
-		run("sort-real-w6", rig, nil, real(rig, 81, 5000), sortWith(rig, sortSpec(6)))
+		run("sort-real-w6", rig, nil, records(rig, 81, 5000), sortWith(rig, sortSpec(6)))
 	}
 	{
 		rig := newRig(t)
 		spec := sortSpec(6)
 		spec.CleanupScratch, spec.MaxRetries = true, 2
-		run("sort-real-w6-cleanup", rig, nil, real(rig, 81, 5000), sortWith(rig, spec))
+		run("sort-real-w6-cleanup", rig, nil, records(rig, 81, 5000), sortWith(rig, spec))
 	}
 	{
 		rig := newRig(t)
@@ -171,13 +171,13 @@ func TestExchangeTimingGolden(t *testing.T) {
 	}
 	{
 		rig := newHierRig(t)
-		run("hier-real-w8-g4", rig, nil, real(rig, 82, 4800), hierWith(rig, hierSpec(8, 4)))
+		run("hier-real-w8-g4", rig, nil, records(rig, 82, 4800), hierWith(rig, hierSpec(8, 4)))
 	}
 	{
 		rig := newHierRig(t)
 		spec := hierSpec(8, 4)
 		spec.CleanupScratch = true
-		run("hier-real-w8-g4-cleanup", rig, nil, real(rig, 82, 4800), hierWith(rig, spec))
+		run("hier-real-w8-g4-cleanup", rig, nil, records(rig, 82, 4800), hierWith(rig, spec))
 	}
 	{
 		rig := newHierRig(t)
@@ -188,7 +188,7 @@ func TestExchangeTimingGolden(t *testing.T) {
 	}
 	{
 		rig, prov, op := newCacheRig(t)
-		run("cache-cold-w5", rig, prov, real(rig, 83, 4000), cacheWith(op, cacheSpec(5)))
+		run("cache-cold-w5", rig, prov, records(rig, 83, 4000), cacheWith(op, cacheSpec(5)))
 	}
 	{
 		rig, prov, op := newCacheRig(t)
@@ -230,7 +230,7 @@ func TestExchangeTimingGolden(t *testing.T) {
 		})
 		spec := cacheSpec(workers)
 		spec.Nodes = 4
-		e := run("cache-nodeloss-w8", rig, prov, real(rig, 86, 6000), cacheWith(op, spec))
+		e := run("cache-nodeloss-w8", rig, prov, records(rig, 86, 6000), cacheWith(op, spec))
 		if e.fallback == 0 || e.restarts < 2 || e.rework == 0 {
 			t.Errorf("node-loss run exercised too little: fallback=%d restarts=%d rework=%d",
 				e.fallback, e.restarts, e.rework)
