@@ -87,8 +87,11 @@ func (p sizedPayload) Slice(off, n int64) (Payload, error) {
 	return sizedPayload{size: n}, nil
 }
 
+// checkRange rejects [off, off+n) unless it lies within [0, size). It
+// compares n against size-off rather than off+n against size, so a
+// huge n cannot wrap the sum negative and pass.
 func checkRange(off, n, size int64) error {
-	if off < 0 || n < 0 || off+n > size {
+	if off < 0 || n < 0 || off > size || n > size-off {
 		return &RangeError{Off: off, N: n, Size: size}
 	}
 	return nil

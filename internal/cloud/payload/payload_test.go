@@ -3,6 +3,7 @@ package payload
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,7 @@ func TestRealSlice(t *testing.T) {
 func TestSliceOutOfRange(t *testing.T) {
 	cases := []struct{ off, n int64 }{
 		{-1, 2}, {0, -1}, {5, 10}, {100, 1},
+		{1, math.MaxInt64}, {math.MaxInt64, 1}, {math.MaxInt64, math.MaxInt64},
 	}
 	for _, c := range cases {
 		_, err := Real(make([]byte, 8)).Slice(c.off, c.n)

@@ -130,3 +130,48 @@ func BenchmarkDESTokenBucket(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(taken)/b.Elapsed().Seconds(), "takes/s")
 }
+
+// BenchmarkLinkChurn measures the link model under flow churn: linkChurnProcs
+// processes loop over transfers of staggered sizes, so every op is one
+// arrival and one departure, each a reshare over ~linkChurnProcs
+// flows — the shape of a shuffle wave on a NIC or the store fabric.
+// One op is one Transfer. In the undersubscribed case every flow runs
+// at its cap (the common regime); in the saturated case uncapped flows
+// split the capacity and every reshare water-fills. The
+// undersubscribed case allocates only the flow record per op.
+func BenchmarkLinkChurn(b *testing.B) {
+	const linkChurnProcs = 16
+	for _, bc := range []struct {
+		name     string
+		capacity float64
+		flowCap  float64
+	}{
+		{"undersubscribed", 1e9, 1e6},
+		{"saturated", 1e7, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(1)
+			l := NewLink(s, bc.capacity)
+			started := 0
+			for i := 0; i < linkChurnProcs; i++ {
+				size := int64(1000 * (i + 1))
+				s.Spawn(fmt.Sprintf("c%02d", i), func(p *Proc) {
+					for started < b.N {
+						started++
+						l.Transfer(p, size, bc.flowCap)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if got := l.Transfers(); got < int64(b.N) {
+				b.Fatalf("%d transfers of %d", got, b.N)
+			}
+			b.ReportMetric(float64(l.Transfers())/b.Elapsed().Seconds(), "transfers/s")
+		})
+	}
+}

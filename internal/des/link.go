@@ -10,14 +10,32 @@ import (
 // backend fabric) with max-min fair bandwidth sharing among concurrent
 // transfers, each optionally capped (e.g. a per-connection limit).
 //
-// Whenever a transfer starts or finishes, every active flow's rate is
-// recomputed by water-filling, so a lone transfer gets the full
-// capacity and n equal transfers each get capacity/n (or their cap,
-// whichever is lower).
+// Whenever a transfer starts or finishes, every active flow's remaining
+// bytes are advanced at its old rate and its rate is recomputed by
+// water-filling, so a lone transfer gets the full capacity and n equal
+// transfers each get capacity/n (or their cap, whichever is lower).
+//
+// The link keeps one completion event, not one per flow: each reshare
+// schedules only the flow that finishes first, ordered by (completion
+// time, remaining bytes, proc name). That is exactly the event a
+// per-flow model would fire. Such a model schedules its n events back
+// to back, so their sequence numbers are contiguous and their fire
+// order is that same ordering; the first one to fire reshares, which
+// cancels the rest, so none of the others ever fires. Scheduling only
+// the first, at the same point, leaves the relative order of every
+// fired event, and the fired-event count, unchanged.
 type Link struct {
 	sim      *Sim
 	capacity float64 // bytes/sec; <= 0 means unlimited
-	flows    map[*linkFlow]struct{}
+	flows    []*linkFlow
+	last     time.Duration // when the flows' remaining bytes were last advanced
+
+	// doneEv is the pending completion event, next the flow it
+	// finishes. fireFn is the fire method value, bound once in NewLink
+	// so a reshare does not allocate a closure.
+	doneEv Event
+	next   *linkFlow
+	fireFn func()
 
 	// stats
 	bytesMoved   float64
@@ -28,9 +46,8 @@ type linkFlow struct {
 	remaining float64
 	cap       float64 // per-flow cap; <= 0 means none
 	rate      float64
-	last      time.Duration
+	idx       int // position in Link.flows
 	proc      *Proc
-	doneEv    Event
 	finished  bool
 }
 
@@ -38,11 +55,9 @@ type linkFlow struct {
 // capacity <= 0 means the link is unlimited and only per-flow caps (if
 // any) constrain transfers.
 func NewLink(s *Sim, capacity float64) *Link {
-	return &Link{
-		sim:      s,
-		capacity: capacity,
-		flows:    make(map[*linkFlow]struct{}),
-	}
+	l := &Link{sim: s, capacity: capacity}
+	l.fireFn = l.fire
+	return l
 }
 
 // Capacity reports the configured capacity (<= 0 for unlimited).
@@ -65,13 +80,14 @@ func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
 	if bytes <= 0 {
 		return
 	}
+	l.advance()
 	f := &linkFlow{
 		remaining: float64(bytes),
 		cap:       flowCap,
-		last:      l.sim.Now(),
+		idx:       len(l.flows),
 		proc:      p,
 	}
-	l.flows[f] = struct{}{}
+	l.flows = append(l.flows, f)
 	l.reshare()
 	for !f.finished {
 		p.Park()
@@ -84,98 +100,145 @@ func (l *Link) Transfer(p *Proc, bytes int64, flowCap float64) {
 // virtual time at its previous rate.
 func (l *Link) advance() {
 	now := l.sim.Now()
-	for f := range l.flows {
+	elapsed := (now - l.last).Seconds()
+	l.last = now
+	for _, f := range l.flows {
 		if math.IsInf(f.rate, 1) {
 			// An uncapped flow on an unlimited link completes
 			// instantly regardless of elapsed time.
 			f.remaining = 0
-			f.last = now
 			continue
 		}
-		elapsed := (now - f.last).Seconds()
 		if elapsed > 0 && f.rate > 0 {
 			f.remaining -= elapsed * f.rate
 			if f.remaining < 0 {
 				f.remaining = 0
 			}
 		}
-		f.last = now
 	}
 }
 
-// reshare recomputes fair-share rates and (re)schedules every flow's
-// completion event. Must be called after advance-worthy membership
-// changes; it advances first.
+// reshare recomputes fair-share rates and schedules the link's one
+// completion event for the flow that finishes first. Callers advance
+// first.
 func (l *Link) reshare() {
-	l.advance()
+	l.doneEv.Cancel()
+	l.next = nil
 	if len(l.flows) == 0 {
 		return
 	}
-	ordered := make([]*linkFlow, 0, len(l.flows))
-	for f := range l.flows {
-		ordered = append(ordered, f)
+	l.setRates()
+	now := l.sim.Now()
+	var nextAt time.Duration
+	for _, f := range l.flows {
+		at := now
+		if f.remaining > 0.5 && !math.IsInf(f.rate, 1) {
+			if f.rate <= 0 {
+				// No capacity at all: leave the flow parked; a later
+				// membership change will reshare. This only happens with
+				// capacity so oversubscribed by caps that waterfill
+				// assigned zero, which validated configs cannot produce.
+				continue
+			}
+			// Round up so sub-nanosecond residues still make progress;
+			// otherwise a tiny transfer at a huge rate reschedules itself
+			// at the same instant forever.
+			d := time.Duration(math.Ceil(f.remaining / f.rate * float64(time.Second)))
+			if d < time.Nanosecond {
+				d = time.Nanosecond
+			}
+			at = now + d
+		}
+		if l.next == nil || at < nextAt || at == nextAt && l.before(f, l.next) {
+			l.next, nextAt = f, at
+		}
 	}
-	// Deterministic order: completion scheduling order must not depend
-	// on map iteration. Sort by remaining bytes, then by proc name.
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].remaining != ordered[j].remaining {
-			return ordered[i].remaining < ordered[j].remaining
-		}
-		return ordered[i].proc.Name() < ordered[j].proc.Name()
-	})
-	caps := make([]float64, len(ordered))
-	for i, f := range ordered {
-		if f.cap > 0 {
-			caps[i] = f.cap
-		} else {
-			caps[i] = math.Inf(1)
-		}
-	}
-	rates := Waterfill(l.capacity, caps)
-	for i, f := range ordered {
-		f.rate = rates[i]
-		f.doneEv.Cancel()
-		f.doneEv = Event{}
-		if f.remaining <= 0.5 || math.IsInf(f.rate, 1) {
-			ff := f
-			f.doneEv = l.sim.Schedule(l.sim.Now(), func() { l.finish(ff) })
-			continue
-		}
-		if f.rate <= 0 {
-			// No capacity at all: leave the flow parked; a later
-			// membership change will reshare. This only happens with
-			// capacity so oversubscribed by caps that waterfill
-			// assigned zero, which validated configs cannot produce.
-			continue
-		}
-		// Round up so sub-nanosecond residues still make progress;
-		// otherwise a tiny transfer at a huge rate reschedules itself
-		// at the same instant forever.
-		d := time.Duration(math.Ceil(f.remaining / f.rate * float64(time.Second)))
-		if d < time.Nanosecond {
-			d = time.Nanosecond
-		}
-		ff := f
-		f.doneEv = l.sim.After(d, func() { l.finish(ff) })
+	if l.next != nil {
+		l.doneEv = l.sim.Schedule(nextAt, l.fireFn)
 	}
 }
 
-func (l *Link) finish(f *linkFlow) {
-	if f.finished {
+// before orders flows completing at the same instant: fewer remaining
+// bytes first, then by proc name.
+func (l *Link) before(a, b *linkFlow) bool {
+	if a.remaining != b.remaining {
+		return a.remaining < b.remaining
+	}
+	return a.proc.Name() < b.proc.Name()
+}
+
+// setRates assigns every flow its max-min fair rate. The two common
+// regimes are computed directly, with the same values Waterfill would
+// return: on an unlimited link each flow runs at its cap, and when
+// every flow is capped and the caps fit within the capacity (with a
+// margin far above float rounding) Waterfill takes its cap branch at
+// every step. Only a saturated link pays for the ordered water-fill.
+func (l *Link) setRates() {
+	if l.capacity <= 0 {
+		for _, f := range l.flows {
+			f.rate = capOrInf(f.cap)
+		}
 		return
 	}
+	var sum float64
+	for _, f := range l.flows {
+		if f.cap <= 0 {
+			sum = math.Inf(1)
+			break
+		}
+		sum += f.cap
+	}
+	if sum <= l.capacity*(1-1e-9) {
+		for _, f := range l.flows {
+			f.rate = f.cap
+		}
+		return
+	}
+	// Waterfill's float sums depend on the order of its input, so keep
+	// the (remaining, name) order the rates have always been computed in.
+	ordered := append([]*linkFlow(nil), l.flows...)
+	sort.Slice(ordered, func(i, j int) bool { return l.before(ordered[i], ordered[j]) })
+	caps := make([]float64, len(ordered))
+	for i, f := range ordered {
+		caps[i] = capOrInf(f.cap)
+	}
+	for i, r := range Waterfill(l.capacity, caps) {
+		ordered[i].rate = r
+	}
+}
+
+func capOrInf(c float64) float64 {
+	if c > 0 {
+		return c
+	}
+	return math.Inf(1)
+}
+
+// fire runs the link's completion event.
+func (l *Link) fire() { l.finish(l.next) }
+
+func (l *Link) finish(f *linkFlow) {
 	// Self-correct rounding: if the flow is not actually done, advance
-	// and reschedule everyone.
+	// and reschedule.
 	l.advance()
 	if f.remaining > 0.5 {
 		l.reshare()
 		return
 	}
 	f.finished = true
-	f.doneEv = Event{}
-	delete(l.flows, f)
+	l.remove(f)
 	f.proc.Wake()
 	l.reshare()
+}
+
+// remove swap-deletes f from the flow slice.
+func (l *Link) remove(f *linkFlow) {
+	last := len(l.flows) - 1
+	moved := l.flows[last]
+	l.flows[f.idx] = moved
+	moved.idx = f.idx
+	l.flows[last] = nil
+	l.flows = l.flows[:last]
 }
 
 // Waterfill computes max-min fair rates for flows with the given

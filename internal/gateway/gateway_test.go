@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -406,8 +407,9 @@ func TestCostAttributionReconciles(t *testing.T) {
 }
 
 // TestServeResultAuthzAndRanges: ranged result serving returns the
-// tenant's own bytes (whole and windowed) and rejects cross-tenant
-// keys with ErrForbidden.
+// tenant's own bytes (whole, windowed, and through the end for a
+// length so large off+n overflows) and rejects cross-tenant keys with
+// ErrForbidden.
 func TestServeResultAuthzAndRanges(t *testing.T) {
 	g := openGateway(t, gateway.StaticTokens{"tok-a": "a", "tok-b": "b"}, gateway.Options{}, session.Options{})
 	for _, id := range []string{"a", "b"} {
@@ -447,6 +449,13 @@ func TestServeResultAuthzAndRanges(t *testing.T) {
 		if got, _ := win.Bytes(); string(got) != string(data[1000:1500]) {
 			t.Error("windowed result bytes differ")
 		}
+		tail, err := g.ServeResult(p, credA, key, 1, math.MaxInt64)
+		if err != nil {
+			t.Fatalf("ServeResult huge length: %v", err)
+		}
+		if got, _ := tail.Bytes(); string(got) != string(data[1:]) {
+			t.Errorf("huge-length result = %d bytes, want the %d through the end", tail.Size(), len(data)-1)
+		}
 		if _, err := g.ServeResult(p, credB, key, 0, -1); !errors.Is(err, gateway.ErrForbidden) {
 			t.Errorf("cross-tenant read error = %v, want ErrForbidden", err)
 		}
@@ -458,7 +467,7 @@ func TestServeResultAuthzAndRanges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if want := int64(len(data) + 500); rep.Tenants[0].BytesServed != want {
+	if want := int64(len(data) + 500 + len(data) - 1); rep.Tenants[0].BytesServed != want {
 		t.Errorf("BytesServed = %d, want %d", rep.Tenants[0].BytesServed, want)
 	}
 	if rep.Tenants[1].BytesServed != 0 {

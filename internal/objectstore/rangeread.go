@@ -29,7 +29,9 @@ func (c *Client) ReadRange(p *des.Proc, bkt, key string, off, n int64) (payload.
 	if off < 0 {
 		off = 0
 	}
-	if n < 0 || off+n > obj.Size {
+	// n > obj.Size-off, not off+n > obj.Size: a huge n must clamp, not
+	// wrap the sum negative and run past the object.
+	if n < 0 || n > obj.Size-off {
 		n = obj.Size - off
 	}
 	if off >= obj.Size || n <= 0 {

@@ -3,7 +3,9 @@ package objectstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"github.com/faaspipe/faaspipe/internal/cloud/payload"
 	"github.com/faaspipe/faaspipe/internal/des"
@@ -116,4 +118,91 @@ func TestReadRangeRetryBudgetShared(t *testing.T) {
 	if !errors.Is(err, ErrSlowDown) {
 		t.Fatalf("error = %v, want retries-exhausted ErrSlowDown", err)
 	}
+}
+
+// readRangeOf stores pl as object "b/k" on a fresh fastCfg rig, runs
+// one ReadRange over it and returns the result, its error and the
+// virtual time the whole run took.
+func readRangeOf(t *testing.T, pl payload.Payload, off, n int64) (payload.Payload, error, time.Duration) {
+	t.Helper()
+	sim := des.New(7)
+	svc, err := New(sim, fastCfg())
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	var (
+		out    payload.Payload
+		outErr error
+	)
+	sim.Spawn("read", func(p *des.Proc) {
+		c := NewClient(svc)
+		if err := c.CreateBucket(p, "b"); err != nil {
+			outErr = err
+			return
+		}
+		if err := c.Put(p, "b", "k", pl); err != nil {
+			outErr = err
+			return
+		}
+		out, outErr = c.ReadRange(p, "b", "k", off, n)
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	return out, outErr, sim.Now()
+}
+
+// TestReadRangeHugeLength: a length whose off+n overflows reads
+// through the end like any overhanging range, on a real object (not a
+// slice-bounds panic) and on a sized one (not a stream that runs until
+// the event limit).
+func TestReadRangeHugeLength(t *testing.T) {
+	out, err, _ := readRangeOf(t, payload.Real([]byte("hello world")), 1, math.MaxInt64)
+	if err != nil {
+		t.Fatalf("ReadRange: %v", err)
+	}
+	if got, _ := out.Bytes(); string(got) != "ello world" {
+		t.Fatalf("ReadRange(1, MaxInt64) = %q, want %q", got, "ello world")
+	}
+	out, err, took := readRangeOf(t, payload.Sized(11), 1, math.MaxInt64)
+	if err != nil {
+		t.Fatalf("sized ReadRange: %v", err)
+	}
+	if out.Size() != 10 {
+		t.Fatalf("sized ReadRange(1, MaxInt64) size = %d, want 10", out.Size())
+	}
+	if took > time.Second {
+		t.Fatalf("sized ReadRange of 10 bytes took %v of virtual time", took)
+	}
+}
+
+// FuzzReadRange: any (off, n) over any object returns exactly the
+// clamped window ReadRange documents; it never panics or errors.
+func FuzzReadRange(f *testing.F) {
+	f.Add(uint16(11), int64(1), int64(math.MaxInt64))
+	f.Add(uint16(11), int64(math.MaxInt64), int64(math.MaxInt64))
+	f.Add(uint16(11), int64(math.MinInt64), int64(math.MinInt64))
+	f.Add(uint16(0), int64(0), int64(-1))
+	f.Add(uint16(3000), int64(2999), int64(2))
+	f.Fuzz(func(t *testing.T, size uint16, off, n int64) {
+		out, err, data := readRange(t, fastCfg(), int64(size)%4096, off, n, 0)
+		if err != nil {
+			t.Fatalf("ReadRange(%d, %d) over %d bytes: %v", off, n, len(data), err)
+		}
+		lo := off
+		if lo < 0 {
+			lo = 0
+		}
+		var want []byte
+		if lo < int64(len(data)) {
+			want = data[lo:]
+			if n >= 0 && n < int64(len(want)) {
+				want = want[:n]
+			}
+		}
+		got, _ := out.Bytes()
+		if !bytes.Equal(got, want) || out.Size() != int64(len(want)) {
+			t.Fatalf("ReadRange(%d, %d) over %d bytes = %d bytes, want %d", off, n, len(data), out.Size(), len(want))
+		}
+	})
 }
