@@ -19,6 +19,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -31,11 +32,13 @@ import (
 var (
 	// ErrNegativeTime rejects events scheduled before t=0.
 	ErrNegativeTime = errors.New("chaos: negative event time")
-	// ErrBadRate rejects failure rates outside [0, 1].
+	// ErrBadRate rejects failure rates outside [0, 1], NaN included.
 	ErrBadRate = errors.New("chaos: rate outside [0, 1]")
 	// ErrBadDuration rejects windowed events without an explicit
-	// positive window — the old silent one-minute default is gone.
-	ErrBadDuration = errors.New("chaos: windowed event needs a positive Duration")
+	// positive window — the old silent one-minute default is gone — and
+	// windows whose end, At + Duration, overflows the clock (closing
+	// such a window would wrap into the past and close it at once).
+	ErrBadDuration = errors.New("chaos: windowed event needs a positive Duration ending within the clock range")
 	// ErrBadNode rejects negative cache node indexes.
 	ErrBadNode = errors.New("chaos: negative cache node index")
 	// ErrBadZone rejects zone outages without a zone label.
@@ -122,18 +125,19 @@ func (e *EventError) Error() string {
 func (e *EventError) Unwrap() error { return e.Err }
 
 // Validate checks every event for structural problems a fire-time
-// no-op would hide: negative schedule times, rates outside [0, 1],
-// windowed events without an explicit positive Duration (the old code
-// silently defaulted to a minute), negative cache node indexes (the
-// old code silently clamped them to 0), and zone outages without a
-// zone. Returns the first offending event as an *EventError.
+// no-op would hide: negative schedule times, rates outside [0, 1] or
+// NaN, windowed events without an explicit positive Duration (the old
+// code silently defaulted to a minute) or whose window ends past the
+// clock's range, negative cache node indexes (the old code silently
+// clamped them to 0), and zone outages without a zone. Returns the
+// first offending event as an *EventError.
 func (p *Plan) Validate() error {
 	for i, ev := range p.Events {
 		fail := func(err error) error { return &EventError{Index: i, Event: ev, Err: err} }
 		if ev.At < 0 {
 			return fail(ErrNegativeTime)
 		}
-		if ev.Rate < 0 || ev.Rate > 1 {
+		if !(ev.Rate >= 0 && ev.Rate <= 1) {
 			return fail(ErrBadRate)
 		}
 		switch ev.Kind {
@@ -142,19 +146,26 @@ func (p *Plan) Validate() error {
 				return fail(ErrBadNode)
 			}
 		case StoreBrownout:
-			if ev.Duration <= 0 {
+			if !validWindow(ev) {
 				return fail(ErrBadDuration)
 			}
 		case ZoneOutage:
 			if ev.Zone == "" {
 				return fail(ErrBadZone)
 			}
-			if ev.Duration <= 0 {
+			if !validWindow(ev) {
 				return fail(ErrBadDuration)
 			}
 		}
 	}
 	return nil
+}
+
+// validWindow reports whether a windowed event's Duration is positive
+// and its window ends within the clock's range. ev.At is non-negative
+// here, so the subtraction cannot wrap.
+func validWindow(ev Event) bool {
+	return ev.Duration > 0 && ev.Duration <= math.MaxInt64-ev.At
 }
 
 // Targets names the live resource layers a Plan arms against. Nil

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +220,9 @@ func TestValidate(t *testing.T) {
 		{"negative node", Event{At: 0, Kind: KillCacheNode, Node: -1}, ErrBadNode},
 		{"no zone", Event{At: 0, Kind: ZoneOutage, Duration: time.Second}, ErrBadZone},
 		{"outage no duration", Event{At: 0, Kind: ZoneOutage, Zone: "zone-a"}, ErrBadDuration},
+		{"NaN rate", Event{At: 0, Kind: StoreBrownout, Rate: math.NaN(), Duration: time.Second}, ErrBadRate},
+		{"brownout window overflows", Event{At: time.Hour, Kind: StoreBrownout, Rate: 0.5, Duration: math.MaxInt64}, ErrBadDuration},
+		{"outage window overflows", Event{At: 1, Kind: ZoneOutage, Zone: "zone-a", Duration: math.MaxInt64}, ErrBadDuration},
 	}
 	for _, tc := range cases {
 		plan := &Plan{Events: []Event{{At: 0, Kind: PreemptVM}, tc.ev}}
@@ -241,6 +245,7 @@ func TestValidate(t *testing.T) {
 		{At: time.Second, Kind: KillCacheNode, Node: 3},
 		{At: 2 * time.Second, Kind: StoreBrownout, Rate: 1.0, Duration: time.Second},
 		{At: 3 * time.Second, Kind: ZoneOutage, Zone: "zone-b", Rate: 0.25, Duration: time.Minute},
+		{At: time.Hour, Kind: StoreBrownout, Rate: 0.5, Duration: math.MaxInt64 - time.Hour},
 	}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)

@@ -1,11 +1,26 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
 )
+
+// ErrBadProcess rejects Process parameters that Generate cannot expand
+// into a bounded plan: a non-positive Horizon, a per-hour rate that is
+// negative or not finite, a NaN BrownoutRate or OutageRate, or a rate
+// that expects more than maxArrivals arrivals over the Horizon or more
+// than one per nanosecond.
+var ErrBadProcess = errors.New("chaos: bad fault process")
+
+// maxArrivals caps one fault class's expected arrival count over the
+// horizon (rate × horizon). A soak schedule holds tens to hundreds of
+// faults; a rate that expands into millions is a mistake, and an
+// unbounded one would never finish expanding.
+const maxArrivals = 100_000
 
 // Process is a seeded stochastic fault-arrival model: each fault class
 // arrives as an independent Poisson process at its configured rate
@@ -24,7 +39,8 @@ type Process struct {
 	Horizon time.Duration
 
 	// Per-class Poisson arrival rates, events per hour of simulated
-	// time. A rate of 0 disables the class. Classes draw from
+	// time. A rate of 0 disables the class; negative, NaN and unboundedly
+	// large rates are rejected (see ErrBadProcess). Classes draw from
 	// independent seed-derived streams, so enabling one class does not
 	// reshuffle another's arrivals.
 	PreemptPerHour    float64
@@ -58,12 +74,45 @@ func (pr Process) classStream(class int64) *rand.Rand {
 	return rand.New(rand.NewSource(pr.Seed + class*mix))
 }
 
+// checkPerHour rejects a class rate Generate could not expand into a
+// bounded number of arrivals.
+func checkPerHour(name string, perHour float64, horizon time.Duration) error {
+	switch {
+	case !(perHour >= 0):
+		return fmt.Errorf("%w: %s = %v, want a rate >= 0", ErrBadProcess, name, perHour)
+	case perHour*horizon.Hours() > maxArrivals: // +Inf included
+		return fmt.Errorf("%w: %s = %v/h over %s expects more than %d arrivals",
+			ErrBadProcess, name, perHour, horizon, maxArrivals)
+	case perHour > float64(time.Hour):
+		return fmt.Errorf("%w: %s = %v/h is more than one arrival per nanosecond", ErrBadProcess, name, perHour)
+	}
+	return nil
+}
+
 // Generate expands the process into a validated Plan. The schedule is
 // sorted by fire time with ties broken by a fixed class order, so the
-// output is a pure function of the process parameters.
+// output is a pure function of the process parameters. Parameters that
+// would not expand into a bounded plan return an error wrapping
+// ErrBadProcess.
 func (pr Process) Generate() (*Plan, error) {
 	if pr.Horizon <= 0 {
-		return nil, fmt.Errorf("chaos: process needs a positive Horizon, got %s", pr.Horizon)
+		return nil, fmt.Errorf("%w: needs a positive Horizon, got %s", ErrBadProcess, pr.Horizon)
+	}
+	for _, c := range []struct {
+		name    string
+		perHour float64
+	}{
+		{"PreemptPerHour", pr.PreemptPerHour},
+		{"CacheKillPerHour", pr.CacheKillPerHour},
+		{"BrownoutPerHour", pr.BrownoutPerHour},
+		{"ZoneOutagePerHour", pr.ZoneOutagePerHour},
+	} {
+		if err := checkPerHour(c.name, c.perHour, pr.Horizon); err != nil {
+			return nil, err
+		}
+	}
+	if math.IsNaN(pr.BrownoutRate) || math.IsNaN(pr.OutageRate) {
+		return nil, fmt.Errorf("%w: NaN BrownoutRate or OutageRate", ErrBadProcess)
 	}
 	if pr.CacheNodes < 1 {
 		pr.CacheNodes = 1
@@ -94,11 +143,14 @@ func (pr Process) Generate() (*Plan, error) {
 		rng := pr.classStream(class)
 		var t time.Duration
 		for {
-			gap := time.Duration(rng.ExpFloat64() / perHour * float64(time.Hour))
-			t += gap
-			if t > pr.Horizon {
+			gap := rng.ExpFloat64() / perHour * float64(time.Hour)
+			// A gap past the Duration range (a tiny rate) is past the
+			// horizon; the comparison below is t+gap > Horizon without
+			// the wrap.
+			if gap >= 1<<63 || time.Duration(gap) > pr.Horizon-t {
 				return
 			}
+			t += time.Duration(gap)
 			plan.Events = append(plan.Events, mk(t, rng))
 		}
 	}

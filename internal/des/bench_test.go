@@ -106,6 +106,28 @@ func BenchmarkDESParkWake(b *testing.B) {
 	b.ReportMetric(float64(woken)/b.Elapsed().Seconds(), "wakes/s")
 }
 
+// BenchmarkDESSpawn measures process churn: a generator spawns one
+// short-lived process per op, each sleeping once and exiting — the
+// shape of an open-loop gateway arrival stream, where every ticket is
+// a process. About a thousand are alive at any instant.
+func BenchmarkDESSpawn(b *testing.B) {
+	s := New(1)
+	body := func(p *Proc) { p.Sleep(time.Millisecond) }
+	s.Spawn("gen", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Spawn("w", body)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "spawns/s")
+}
+
 // BenchmarkDESTokenBucket measures a contended token bucket: many
 // processes drawing from one rate limit, the gateway-admission and
 // store-throttle hot path.

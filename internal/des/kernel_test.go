@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -209,5 +210,162 @@ func TestDeadlockManyParkedProcs(t *testing.T) {
 			t.Fatalf("proc %q reported twice", name)
 		}
 		seen[name] = true
+	}
+}
+
+// goroutineBaseline returns the goroutine count once it has held steady
+// for a few milliseconds, so the goroutines of earlier tests that are
+// still exiting do not inflate the baseline.
+func goroutineBaseline() int {
+	n := runtime.NumGoroutine()
+	for steady := 0; steady < 5; steady++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, steady = m, 0
+		}
+	}
+	return n
+}
+
+// settleGoroutines polls runtime.NumGoroutine until it is back at base
+// or a short deadline passes, and returns the last count: a goroutine
+// that has handed control back may still be exiting.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestNoGoroutinesSurviveRun pins the kernel's goroutine contract on
+// every exit path of Run: whatever the outcome, no process goroutine
+// outlives it. Goroutines start lazily, at a process's first
+// activation, so a Sim whose processes never run starts none.
+func TestNoGoroutinesSurviveRun(t *testing.T) {
+	base := goroutineBaseline()
+	sleepers := func(s *Sim, n int, d time.Duration) {
+		for i := 0; i < n; i++ {
+			s.Spawn(fmt.Sprintf("sleeper-%d", i), func(p *Proc) { p.Sleep(d) })
+		}
+	}
+
+	idle := New(1)
+	sleepers(idle, 5, time.Second)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("5 spawns on a Sim never run: %d goroutines, want %d", n, base)
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(s *Sim)
+	}{
+		{"clean drain", func(s *Sim) {
+			sleepers(s, 5, time.Second)
+			if err := s.Run(); err != nil {
+				t.Errorf("Run = %v, want nil", err)
+			}
+		}},
+		{"deadlock", func(s *Sim) {
+			for i := 0; i < 5; i++ {
+				s.Spawn(fmt.Sprintf("parked-%d", i), func(p *Proc) { p.Park() })
+			}
+			var dl *DeadlockError
+			if err := s.Run(); !errors.As(err, &dl) {
+				t.Errorf("Run = %v, want DeadlockError", err)
+			}
+		}},
+		{"process panic", func(s *Sim) {
+			sleepers(s, 4, time.Hour)
+			s.Spawn("bomber", func(p *Proc) {
+				p.Sleep(time.Second)
+				panic("boom")
+			})
+			var pe *PanicError
+			if err := s.Run(); !errors.As(err, &pe) || pe.Proc != "bomber" {
+				t.Errorf("Run = %v, want PanicError from bomber", err)
+			}
+		}},
+		{"horizon then resume", func(s *Sim) {
+			sleepers(s, 5, time.Hour)
+			if err := s.RunUntil(time.Minute); !errors.Is(err, ErrSimLimit) {
+				t.Errorf("RunUntil = %v, want ErrSimLimit", err)
+			}
+			if n := settleGoroutines(base); n != base {
+				t.Errorf("after horizon: %d goroutines, want %d", n, base)
+			}
+			sleepers(s, 5, time.Second)
+			if err := s.Run(); err != nil {
+				t.Errorf("resumed Run = %v, want nil", err)
+			}
+		}},
+		{"killed process suspends while unwinding", func(s *Sim) {
+			// The deferred Sleep runs during the kill: it must keep
+			// unwinding, not run the event loop behind killLive's back.
+			s.Spawn("stubborn", func(p *Proc) {
+				defer p.Sleep(time.Second)
+				p.Sleep(time.Hour)
+			})
+			if err := s.RunUntil(time.Minute); !errors.Is(err, ErrSimLimit) {
+				t.Errorf("RunUntil with a stubborn sleeper = %v, want ErrSimLimit", err)
+			}
+			// That Sleep left a wake event behind; resuming must drop it.
+			if err := runWithWatchdog(t, s.Run); err != nil {
+				t.Errorf("resumed Run after a stubborn sleeper = %v, want nil", err)
+			}
+		}},
+		{"max events", func(s *Sim) {
+			sleepers(s, 5, time.Second)
+			s.MaxEvents = 7
+			if err := s.Run(); !errors.Is(err, ErrSimLimit) {
+				t.Errorf("Run = %v, want ErrSimLimit", err)
+			}
+		}},
+	} {
+		// The cases run on the test goroutine itself: a subtest's own
+		// goroutine would count against the baseline.
+		tc.run(New(1))
+		if n := settleGoroutines(base); n != base {
+			t.Errorf("%s: %d goroutines after Run, want %d", tc.name, n, base)
+		}
+	}
+}
+
+// TestEventPanicEscapesRun pins the other panic contract: a panic in a
+// plain event callback is not a process's failure. Whichever goroutine
+// was running the event loop when the callback fired, Run re-raises
+// the panic with the same value on its caller's goroutine, after
+// unwinding every process.
+func TestEventPanicEscapesRun(t *testing.T) {
+	type boom struct{ at time.Duration }
+	for _, at := range []time.Duration{0, time.Second} {
+		t.Run(fmt.Sprint("at ", at), func(t *testing.T) {
+			base := goroutineBaseline()
+			s := New(1)
+			if at == 0 {
+				// Fires before any process has run.
+				s.Schedule(0, func() { panic(boom{at}) })
+			}
+			for i := 0; i < 3; i++ {
+				s.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) { p.Sleep(time.Hour) })
+			}
+			if at > 0 {
+				// Fires while every process sleeps.
+				s.Schedule(at, func() { panic(boom{at}) })
+			}
+			var err error
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				err = s.Run()
+				return nil
+			}()
+			if got != (boom{at}) {
+				t.Fatalf("Run panicked with %v and returned %v, want a panic with %v", got, err, boom{at})
+			}
+			if n := settleGoroutines(base); n != base {
+				t.Errorf("%d goroutines after the panic, want %d", n, base)
+			}
+		})
 	}
 }

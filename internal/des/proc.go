@@ -15,9 +15,15 @@ var errKilled = errors.New("des: process killed")
 // goroutine under cooperative scheduling. A Proc must only call its
 // methods from its own goroutine; passing a Proc across goroutines is
 // a bug.
+//
+// The goroutine starts at the process's first activation, not at
+// Spawn. While suspended, a process runs the event loop itself (see
+// the package comment); it blocks on resume only once it has handed
+// control to another process or back to Run's caller.
 type Proc struct {
 	sim  *Sim
 	name string
+	body func(p *Proc)
 
 	resume chan struct{}
 	// wake is the handle of the pending activation event, if any; the
@@ -27,39 +33,53 @@ type Proc struct {
 	wake       Event
 	activateFn func()
 	suspended  bool
+	started    bool
 	killed     bool
 	done       bool
 }
 
 // Spawn creates a process that begins executing fn at the current
 // virtual time (after already-scheduled events at the same instant).
-// It may be called before Run or from any process context.
+// It may be called before Run or from any process context. No
+// goroutine starts until that activation fires.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
+		sim:       s,
+		name:      name,
+		body:      fn,
+		resume:    make(chan struct{}),
+		suspended: true,
 	}
 	p.activateFn = p.activate
 	s.live[p] = struct{}{}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && !errors.Is(asErr(r), errKilled) {
-				s.recordPanic(p.name, r)
-			}
-			p.done = true
-			delete(s.live, p)
-			s.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.killed {
-			return
-		}
-		fn(p)
-	}()
-	p.suspended = true
 	p.wake = s.Schedule(s.now, p.activateFn)
 	return p
+}
+
+// run is the body of a process goroutine, started by its first
+// handoff.
+func (p *Proc) run() {
+	defer p.exit()
+	p.body(p)
+}
+
+// exit ends a process goroutine. A panic other than the kill sentinel
+// is recorded against the process. A killed process hands control
+// straight back to killLive; otherwise the finished process runs the
+// event loop one last time and hands control on before its goroutine
+// exits.
+func (p *Proc) exit() {
+	s := p.sim
+	if r := recover(); r != nil && !errors.Is(asErr(r), errKilled) {
+		s.recordPanic(p.name, r)
+	}
+	p.done = true
+	delete(s.live, p)
+	if p.killed {
+		s.caller <- struct{}{}
+		return
+	}
+	s.handoff(s.dispatch())
 }
 
 func asErr(v any) error {
@@ -69,26 +89,53 @@ func asErr(v any) error {
 	return nil
 }
 
-// activate hands execution to the process and blocks until it yields
-// back (suspends or terminates). It runs in scheduler context. The
-// done/killed guard is defense in depth: killLive cancels a victim's
-// wake event, so an activation for a dead process should never fire —
-// but if one ever does, dropping it beats blocking forever on the
-// resume send to an exited goroutine.
+// activate is the event that gives a process control: it records the
+// process for the dispatch loop to hand off to. The done/killed guard
+// drops activations of dead processes: killLive cancels a victim's
+// wake event, but deferred code that sleeps while the victim unwinds
+// schedules a new one, and handing control to an exited goroutine
+// would hang the run.
 func (p *Proc) activate() {
 	if p.done || p.killed {
 		return
 	}
 	p.wake = Event{}
 	p.suspended = false
-	p.resume <- struct{}{}
-	<-p.sim.yield
+	p.sim.next = p
 }
 
-// suspend yields to the scheduler and blocks until activated again.
+// handoff passes control to next: the go statement on its first
+// activation, a send on resume after that, or back to Run's caller
+// when the run is over (next is nil). The caller must block (or exit)
+// right after, touching no simulation state.
+func (s *Sim) handoff(next *Proc) {
+	switch {
+	case next == nil:
+		s.caller <- struct{}{}
+	case !next.started:
+		next.started = true
+		go next.run()
+	default:
+		next.resume <- struct{}{}
+	}
+}
+
+// suspend gives up control until the process is activated again. The
+// suspending goroutine runs the event loop itself: if the next
+// activation is its own it carries on without a switch; otherwise it
+// hands control on and blocks. A killed process (unwinding, with
+// deferred code that tries to suspend again) only keeps unwinding.
 func (p *Proc) suspend() {
+	if p.killed {
+		panic(errKilled)
+	}
+	s := p.sim
 	p.suspended = true
-	p.sim.yield <- struct{}{}
+	next := s.dispatch()
+	if next == p {
+		return
+	}
+	s.handoff(next)
 	<-p.resume
 	if p.killed {
 		panic(errKilled)

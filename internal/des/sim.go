@@ -4,14 +4,32 @@
 //
 // A Sim owns a virtual clock and an event heap. Simulated activities
 // run as processes (Proc): ordinary Go functions executing on their own
-// goroutines, but scheduled cooperatively so that exactly one process
-// runs at any instant. All ordering is decided by the event heap
-// (virtual time, then FIFO sequence), which makes runs fully
+// goroutines, but scheduled cooperatively so that exactly one goroutine
+// holds control at any instant. All ordering is decided by the event
+// heap (virtual time, then FIFO sequence), which makes runs fully
 // deterministic regardless of the Go scheduler.
 //
-// Because only one process runs at a time, simulation-side data
-// structures (the object store's buckets, platform meters, ...) need no
-// locking; that invariant is relied upon throughout the repository.
+// There is no scheduler goroutine. The event loop runs on whichever
+// goroutine holds control: Run's caller until the first process is
+// activated, then the process that suspends (or finishes). A
+// suspending process pops and fires events itself until one activates
+// a process; if that is itself it simply continues, otherwise it hands
+// control straight to the other process with one channel send and
+// blocks. When the run is over, control goes back to Run's caller,
+// which unwinds whatever processes are left. A process's goroutine
+// starts at its first activation, so a spawned process that never runs
+// never costs a goroutine.
+//
+// Two panic contracts hold whichever goroutine runs the loop. A panic
+// in a process body ends the run with a *PanicError naming that
+// process. A panic in a plain event callback is not a process's
+// failure: Run re-raises it, with the same value, on its caller's
+// goroutine.
+//
+// Because only one goroutine holds control at a time, simulation-side
+// data structures (the object store's buckets, platform meters, ...)
+// need no locking; that invariant is relied upon throughout the
+// repository.
 //
 // The kernel is built for million-event runs: the heap is a concrete
 // 4-ary min-heap over inline (time, seq, slot) records, event state
@@ -152,11 +170,17 @@ func (e heapEnt) slot() int32 { return int32(e.key & (1<<slotBits - 1)) }
 // Sim is a discrete-event simulation. The zero value is not usable;
 // construct with New.
 type Sim struct {
-	now   time.Duration
-	seq   int64
-	yield chan struct{}
-	rng   *rand.Rand
-	live  map[*Proc]struct{}
+	now  time.Duration
+	seq  int64
+	rng  *rand.Rand
+	live map[*Proc]struct{}
+
+	// next is the process the last fired event activated, for the
+	// dispatch loop to hand control to. caller carries control back to
+	// Run's caller: once when the run is over, and once from each
+	// process killLive unwinds.
+	next   *Proc
+	caller chan struct{}
 
 	heap     []heapEnt
 	slots    []eventSlot
@@ -164,7 +188,14 @@ type Sim struct {
 	canceled int // dead entries still on the heap
 
 	running bool
+	limit   time.Duration // RunUntil's horizon; negative means none
+	stopped bool          // the run hit its horizon or MaxEvents
 	err     error
+
+	// eventPanic holds the value of a panic raised by a plain event
+	// callback (never nil: panic(nil) raises a *runtime.PanicNilError),
+	// for Run to re-raise on its caller's goroutine.
+	eventPanic any
 
 	// MaxEvents, when positive, bounds the number of events the run
 	// loop will fire before returning ErrSimLimit. It is a safety net
@@ -177,9 +208,9 @@ type Sim struct {
 // seed and workload produce identical traces.
 func New(seed int64) *Sim {
 	return &Sim{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		live:  make(map[*Proc]struct{}),
+		rng:    rand.New(rand.NewSource(seed)),
+		live:   make(map[*Proc]struct{}),
+		caller: make(chan struct{}),
 	}
 }
 
@@ -366,10 +397,12 @@ func (s *Sim) maybeCompact() {
 // Run drives the simulation until the event heap drains, a limit is
 // hit, or a process panics. It returns nil on a clean drain with no
 // live processes, a *DeadlockError if processes were left parked,
-// a *PanicError if a process panicked, or ErrSimLimit.
+// a *PanicError if a process panicked, or ErrSimLimit. A panic in a
+// plain event callback is re-raised from Run with the same value.
 //
-// Whatever the outcome, no process goroutines survive Run: on error
-// paths every suspended process is unwound before Run returns.
+// Whatever the outcome, no process goroutines survive Run: on every
+// path, panics included, each suspended process is unwound before Run
+// returns.
 func (s *Sim) Run() error {
 	return s.RunUntil(-1)
 }
@@ -380,6 +413,12 @@ func (s *Sim) Run() error {
 // RunUntil with a larger limit (or Run) picks up exactly where this
 // one stopped — though processes parked at the horizon are unwound,
 // per the no-surviving-goroutines contract.
+//
+// The caller's goroutine runs the event loop only until the first
+// event that activates a process; from then on the loop runs on the
+// processes' goroutines (see the package comment), and the caller
+// waits until the run is over. Whatever ended it, the caller then
+// unwinds the processes left alive and reports the outcome.
 func (s *Sim) RunUntil(limit time.Duration) error {
 	if s.running {
 		return errors.New("des: Run called reentrantly")
@@ -387,59 +426,23 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 	s.running = true
 	defer func() { s.running = false }()
 
-	bounded := limit >= 0 || s.MaxEvents > 0
-	for len(s.heap) > 0 {
+	s.limit = limit
+	if p := s.dispatch(); p != nil {
+		s.handoff(p)
+		<-s.caller
+	}
+	if v := s.eventPanic; v != nil {
+		s.eventPanic = nil
+		s.killLive()
+		panic(v)
+	}
+	if s.stopped {
+		s.stopped = false
+		s.killLive()
 		if s.err != nil {
-			break
+			return s.err
 		}
-		top := s.heap[0]
-		slot := top.slot()
-		sl := &s.slots[slot]
-		if sl.canceled {
-			s.popTop()
-			sl.canceled = false
-			s.canceled--
-			s.freeSlot(slot)
-			continue
-		}
-		if !bounded {
-			// Unbounded run: skip the horizon bookkeeping on the hot
-			// path (MaxEvents set mid-run takes effect, just rechecked
-			// lazily).
-			fn := sl.fire
-			s.popTop()
-			s.freeSlot(slot)
-			s.fired++
-			s.now = top.at
-			fn()
-			bounded = s.MaxEvents > 0
-			continue
-		}
-		if limit >= 0 && top.at > limit {
-			// Beyond the horizon: leave the event in place for a
-			// future run rather than dropping it.
-			s.now = limit
-			s.killLive()
-			if s.err != nil {
-				return s.err
-			}
-			return ErrSimLimit
-		}
-		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
-			s.killLive()
-			if s.err != nil {
-				return s.err
-			}
-			return ErrSimLimit
-		}
-		fn := sl.fire
-		s.popTop()
-		// Free before firing: fn may Schedule (reusing this slot for a
-		// new event) or Cancel its own handle (stale by generation).
-		s.freeSlot(slot)
-		s.fired++
-		s.now = top.at
-		fn()
+		return ErrSimLimit
 	}
 	if s.err != nil {
 		s.killLive()
@@ -459,17 +462,77 @@ func (s *Sim) RunUntil(limit time.Duration) error {
 	return nil
 }
 
-// killLive unwinds every live process so its goroutine exits. Each
-// suspended process receives a kill token that makes its next resume
-// panic with errKilled, which the process wrapper swallows. Processes
-// that were spawned but whose start event never fired are discarded
-// without ever starting their goroutine's body.
+// dispatch is the event loop. It runs on whichever goroutine holds
+// control, firing events in (time, seq) order until one activates a
+// process, which it returns, or until the run is over — the heap
+// drained, a process panicked, an event callback panicked, or the
+// horizon or MaxEvents was reached (recorded in s.stopped) — when it
+// returns nil.
+//
+// A panicking event callback is caught here, on whatever goroutine is
+// dispatching, and parked in s.eventPanic for RunUntil to re-raise on
+// its caller's goroutine: unwinding the dispatching process's body
+// instead would misreport the panic as that process's.
+func (s *Sim) dispatch() (next *Proc) {
+	firing := false
+	defer func() {
+		if firing {
+			s.eventPanic = recover()
+			next = nil
+		}
+	}()
+	for len(s.heap) > 0 && s.err == nil {
+		top := s.heap[0]
+		slot := top.slot()
+		sl := &s.slots[slot]
+		if sl.canceled {
+			s.popTop()
+			sl.canceled = false
+			s.canceled--
+			s.freeSlot(slot)
+			continue
+		}
+		if s.limit >= 0 && top.at > s.limit {
+			// Beyond the horizon: leave the event in place for a
+			// future run rather than dropping it.
+			s.now = s.limit
+			s.stopped = true
+			return nil
+		}
+		if s.MaxEvents > 0 && s.fired >= s.MaxEvents {
+			s.stopped = true
+			return nil
+		}
+		fn := sl.fire
+		s.popTop()
+		// Free before firing: fn may Schedule (reusing this slot for a
+		// new event) or Cancel its own handle (stale by generation).
+		s.freeSlot(slot)
+		s.fired++
+		s.now = top.at
+		firing = true
+		fn()
+		firing = false
+		if p := s.next; p != nil {
+			s.next = nil
+			return p
+		}
+	}
+	return nil
+}
+
+// killLive unwinds every live process so its goroutine exits. It runs
+// on Run's caller, after the run is over. A process whose goroutine
+// never started (its activation never fired) is just marked done. A
+// started one is suspended: it receives control with a kill flag set
+// that makes its suspend panic with errKilled, which the process
+// wrapper swallows before handing control straight back here — a
+// victim never runs the event loop.
 //
 // A victim's pending wake event (a Sleep timer, a Wake, or the Spawn
 // activation) must be canceled here: RunUntil leaves future events on
-// the heap for resumption, and an orphaned activate firing on a later
-// run would block forever sending to a goroutine that no longer
-// exists.
+// the heap for resumption, and an orphaned activation firing on a
+// later run would hand control to a goroutine that no longer exists.
 func (s *Sim) killLive() {
 	for len(s.live) > 0 {
 		var victim *Proc
@@ -480,8 +543,12 @@ func (s *Sim) killLive() {
 		victim.wake.Cancel()
 		victim.wake = Event{}
 		victim.killed = true
-		victim.resume <- struct{}{}
-		<-s.yield
+		if victim.started {
+			victim.resume <- struct{}{}
+			<-s.caller
+		} else {
+			victim.done = true
+		}
 		delete(s.live, victim)
 	}
 }
