@@ -14,7 +14,7 @@ import (
 )
 
 // withCache extends the test rig with a cache provisioner and operator.
-func withCache(t *testing.T, r *rig) *memcache.Provisioner {
+func withCache(t testing.TB, r *rig) *memcache.Provisioner {
 	t.Helper()
 	prov, err := memcache.NewProvisioner(r.sim, memcache.Config{
 		NodeMemoryBytes:  64 << 20,

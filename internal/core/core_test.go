@@ -22,7 +22,7 @@ type rig struct {
 	exec *Executor
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	sim := des.New(1)
 	store, err := objectstore.New(sim, objectstore.Config{

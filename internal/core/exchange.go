@@ -76,17 +76,9 @@ type SortOutcome struct {
 	OutputKeys []string
 	// Workers is the parallelism used.
 	Workers int
-	// Detail is a human-readable summary for tracing.
-	Detail string
-	// Restarts counts failure-driven re-executions absorbed to finish
-	// the sort (VM preemption restarts, cache slab regeneration waves).
-	Restarts int
-	// ReworkBytes is the data volume re-processed because of failures:
-	// re-staged and re-sorted input, regenerated cache slabs.
-	ReworkBytes int64
-	// FallbackSlabs counts intermediate partitions the cache exchange
-	// rerouted through object storage after a node loss.
-	FallbackSlabs int
+	// StageOutcome is the sort's detail line and the failures it
+	// absorbed; SortStage hands it to the executor unchanged.
+	StageOutcome
 }
 
 // ExchangeStrategy is how a sort stage moves and processes its data —
@@ -125,7 +117,7 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 		detail := fmt.Sprintf("two-level shuffle via object storage: %d workers in %d groups, round1 %v, round2 %v",
 			res.Workers, res.Groups,
 			res.Round1.Round(time.Millisecond), res.Round2.Round(time.Millisecond))
-		return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, Detail: detail}, nil
+		return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, StageOutcome: StageOutcome{Detail: detail}}, nil
 	}
 	res, err := ctx.Exec.Shuffle.Sort(ctx.Proc, params.spec())
 	if err != nil {
@@ -134,7 +126,7 @@ func (ObjectStorageExchange) RunSort(ctx *StageContext, params SortParams) (Sort
 	detail := fmt.Sprintf("shuffle via object storage: %d workers, sample %v, phase1 %v, phase2 %v",
 		res.Workers, res.Sample.Round(time.Millisecond),
 		res.Phase1.Round(time.Millisecond), res.Phase2.Round(time.Millisecond))
-	return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, Detail: detail}, nil
+	return SortOutcome{OutputKeys: res.OutputKeys, Workers: res.Workers, StageOutcome: StageOutcome{Detail: detail}}, nil
 }
 
 // CacheExchange is the in-memory cache strategy the paper names in §1
@@ -194,12 +186,14 @@ func (c *CacheExchange) RunSort(ctx *StageContext, params SortParams) (SortOutco
 			res.FallbackSlabs, res.Restarts)
 	}
 	return SortOutcome{
-		OutputKeys:    res.OutputKeys,
-		Workers:       res.Workers,
-		Detail:        detail,
-		Restarts:      res.Restarts,
-		ReworkBytes:   res.ReworkBytes,
-		FallbackSlabs: res.FallbackSlabs,
+		OutputKeys: res.OutputKeys,
+		Workers:    res.Workers,
+		StageOutcome: StageOutcome{
+			Detail:        detail,
+			Restarts:      res.Restarts,
+			ReworkBytes:   res.ReworkBytes,
+			FallbackSlabs: res.FallbackSlabs,
+		},
 	}, nil
 }
 
@@ -411,7 +405,7 @@ func (v *VMExchange) runAttempt(ctx *StageContext, params SortParams, keys []str
 	if attempt > 0 {
 		detail += fmt.Sprintf(" (recovered after %d preemption(s))", attempt)
 	}
-	return SortOutcome{OutputKeys: keys, Workers: params.Workers, Detail: detail}, 0, nil
+	return SortOutcome{OutputKeys: keys, Workers: params.Workers, StageOutcome: StageOutcome{Detail: detail}}, 0, nil
 }
 
 // parallelFetch range-reads an object with conns concurrent

@@ -36,17 +36,11 @@ type StageReport struct {
 	VMUSD    float64
 	CacheUSD float64
 	Cost     billing.Report
-	// Detail is the stage's human-readable summary when it published
-	// one to run state ("<name>.detail") — for sort stages the exchange
-	// trace, including the auto-planner's chosen strategy.
-	Detail string
-	// Restarts / ReworkBytes / FallbackSlabs surface the stage's
-	// failure recovery when it published them to run state: re-executed
-	// legs after a VM preemption, input re-read to regenerate lost
-	// cache slabs, and slabs rerouted through object storage.
-	Restarts      int
-	ReworkBytes   int64
-	FallbackSlabs int
+	// StageOutcome is what the stage reported about its own run
+	// (StageContext.Outcome): its detail line, for sort stages the
+	// exchange trace including the auto-planner's chosen strategy, and
+	// its failure recovery. Zero for stages that report nothing.
+	StageOutcome
 }
 
 // Duration is the stage's wall-clock (virtual) time.
@@ -181,12 +175,16 @@ func (e *Executor) cacheCostSnapshot() float64 {
 	if e.CacheProv == nil {
 		return 0
 	}
-	total := e.Prices.CacheCost(e.CacheProv.Clusters())
+	total := e.CacheProv.Cost()
 	if e.StandingCache != nil {
-		total -= e.Prices.CacheCost([]*memcache.Cluster{e.StandingCache})
+		total -= e.StandingCache.Cost()
 	}
 	return total
 }
+
+// stageCostLines is the number of cost lines each stage report
+// carries: functions, storage requests, vm and cache.
+const stageCostLines = 4
 
 // Run executes the workflow, blocking p until every stage completes
 // (stages with satisfied dependencies run concurrently). The returned
@@ -196,7 +194,12 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &RunReport{Workflow: w.Name(), Start: p.Now()}
+	rep := &RunReport{
+		Workflow: w.Name(),
+		Start:    p.Now(),
+		Stages:   make([]StageReport, 0, len(w.nodes)),
+		Cost:     billing.Report{Lines: make([]billing.Line, 0, stageCostLines*len(w.nodes))},
+	}
 	state := NewRunState()
 
 	done := make(map[string]*des.WaitGroup, len(w.nodes))
@@ -212,7 +215,7 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 	for _, n := range w.nodes {
 		n := n
 		all.Add(1)
-		e.Sim.Spawn(fmt.Sprintf("stage/%s", n.stage.Name()), func(sp *des.Proc) {
+		e.Sim.Spawn("stage/"+n.stage.Name(), func(sp *des.Proc) {
 			defer all.Done()
 			defer done[n.stage.Name()].Done()
 			for _, d := range n.deps {
@@ -231,29 +234,20 @@ func (e *Executor) Run(p *des.Proc, w *Workflow) (*RunReport, error) {
 			}
 			e.stageStarts++
 			e.stagesActive++
-			err := n.stage.Run(&StageContext{Proc: sp, Exec: e, State: state})
+			ctx := &StageContext{Proc: sp, Exec: e, State: state}
+			err := n.stage.Run(ctx)
 			e.stagesActive--
 			sr := StageReport{
-				Name:     n.stage.Name(),
-				Start:    start,
-				End:      sp.Now(),
-				Err:      err,
-				Faas:     e.Platform.Meter().Sub(fBefore),
-				Store:    e.Store.Metrics().Sub(sBefore),
-				VMUSD:    e.vmCostSnapshot() - vBefore,
-				CacheUSD: e.cacheCostSnapshot() - cBefore,
-			}
-			if detail, derr := state.String(n.stage.Name() + ".detail"); derr == nil {
-				sr.Detail = detail
-			}
-			if v, verr := state.Int(n.stage.Name() + ".restarts"); verr == nil {
-				sr.Restarts = v
-			}
-			if v, verr := state.Int(n.stage.Name() + ".reworkBytes"); verr == nil {
-				sr.ReworkBytes = int64(v)
-			}
-			if v, verr := state.Int(n.stage.Name() + ".fallbackSlabs"); verr == nil {
-				sr.FallbackSlabs = v
+				Name:         n.stage.Name(),
+				Start:        start,
+				End:          sp.Now(),
+				Err:          err,
+				Faas:         e.Platform.Meter().Sub(fBefore),
+				Store:        e.Store.Metrics().Sub(sBefore),
+				VMUSD:        e.vmCostSnapshot() - vBefore,
+				CacheUSD:     e.cacheCostSnapshot() - cBefore,
+				Cost:         billing.Report{Lines: make([]billing.Line, 0, stageCostLines)},
+				StageOutcome: ctx.Outcome,
 			}
 			sr.Cost.Add("functions", e.Prices.FunctionsCost(sr.Faas))
 			sr.Cost.Add("storage requests", e.Prices.StorageCost(sr.Store))

@@ -9,8 +9,10 @@ import (
 )
 
 // SortStage sorts a dataset using a pluggable data-exchange strategy
-// (the paper's experimental variable). Its output keys are published
-// to run state under "<name>.keys".
+// (the paper's experimental variable). Its output keys and worker
+// count are published to run state under "<name>.keys" and
+// "<name>.workers"; its detail line and recovery counters are its
+// StageOutcome.
 type SortStage struct {
 	// StageName identifies the stage (default "sort").
 	StageName string
@@ -72,10 +74,7 @@ func (s *SortStage) Run(ctx *StageContext) error {
 	}
 	ctx.State.Set(s.Name()+".keys", outcome.OutputKeys)
 	ctx.State.Set(s.Name()+".workers", outcome.Workers)
-	ctx.State.Set(s.Name()+".detail", outcome.Detail)
-	ctx.State.Set(s.Name()+".restarts", outcome.Restarts)
-	ctx.State.Set(s.Name()+".reworkBytes", int(outcome.ReworkBytes))
-	ctx.State.Set(s.Name()+".fallbackSlabs", outcome.FallbackSlabs)
+	ctx.Outcome = outcome.StageOutcome
 	return nil
 }
 
@@ -193,6 +192,9 @@ func (r *RetryStage) Run(ctx *StageContext) error {
 			ctx.Proc.Sleep(backoff)
 			backoff *= 2
 		}
+		// A failed attempt's outcome is not the stage's: only the
+		// attempt that finishes reports.
+		ctx.Outcome = StageOutcome{}
 		if err = r.Inner.Run(ctx); err == nil {
 			return nil
 		}

@@ -32,10 +32,33 @@ type StageContext struct {
 	Proc *des.Proc
 	// Exec is the owning executor (platform, store, provisioner).
 	Exec *Executor
-	// State is the run-scoped blackboard stages use to pass small
-	// control-plane values (output key lists, counts) downstream.
-	// Bulk data always goes through the object store.
+	// State is the run-scoped blackboard stages use to pass dataflow
+	// downstream: small control-plane values such as output key lists
+	// and worker counts. Bulk data always goes through the object
+	// store. What a stage reports about its own run goes in Outcome.
 	State *RunState
+	// Outcome is the stage's typed self-report. It starts zero, the
+	// stage fills in what it has to report, and the executor copies it
+	// into the stage's StageReport. Each stage run gets its own
+	// context, so concurrent stages never see each other's outcome.
+	Outcome StageOutcome
+}
+
+// StageOutcome is what a stage reports about its own run beyond its
+// error. Stages that have nothing to report leave it zero.
+type StageOutcome struct {
+	// Detail is a human-readable summary: for sort stages the exchange
+	// trace, including the auto-planner's chosen strategy.
+	Detail string
+	// Restarts counts failure-driven re-executions absorbed to finish
+	// the stage (VM preemption restarts, cache slab regeneration waves).
+	Restarts int
+	// ReworkBytes is the data volume re-processed because of failures:
+	// re-staged and re-sorted input, regenerated cache slabs.
+	ReworkBytes int64
+	// FallbackSlabs counts intermediate partitions the cache exchange
+	// rerouted through object storage after a node loss.
+	FallbackSlabs int
 }
 
 // RunState is the shared control-plane state of one workflow run.

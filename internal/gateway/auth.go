@@ -58,6 +58,8 @@ func (s StaticTokens) Authenticate(cred Credential) (string, error) {
 // secret shared with the gateway — token issuance without a lookup
 // table, the stateless half of the token-middleware pattern.
 type HMACAuth struct {
+	// Secret is the shared key. An empty secret authenticates no one:
+	// anybody can compute a tag under the empty key.
 	Secret []byte
 }
 
@@ -69,15 +71,66 @@ func (h HMACAuth) Tag(tenantID string) string {
 	return hex.EncodeToString(mac.Sum(nil))
 }
 
-// Authenticate implements Authenticator.
+// Authenticate implements Authenticator. It accepts exactly the
+// credentials whose MAC equals Tag(TenantID), byte for byte (lowercase
+// hex), and runs on every submission, so it computes the tag and its
+// hex form in stack buffers and compares them in constant time without
+// allocating.
 func (h HMACAuth) Authenticate(cred Credential) (string, error) {
-	if cred.TenantID == "" || cred.MAC == "" {
+	if len(h.Secret) == 0 || cred.TenantID == "" || len(cred.MAC) != hexTagLen {
 		return "", ErrUnauthenticated
 	}
-	if !hmac.Equal([]byte(cred.MAC), []byte(h.Tag(cred.TenantID))) {
+	sum := h.sum(cred.TenantID)
+	var want [hexTagLen]byte
+	hex.Encode(want[:], sum[:])
+	var diff byte
+	for i := range want {
+		diff |= want[i] ^ cred.MAC[i]
+	}
+	if diff != 0 {
 		return "", ErrUnauthenticated
 	}
 	return cred.TenantID, nil
+}
+
+// hexTagLen is the length of a hex-encoded HMAC-SHA256 tag.
+const hexTagLen = 2 * sha256.Size
+
+// inlineID is the longest tenant ID sum hashes from a stack buffer;
+// longer IDs take one heap buffer.
+const inlineID = 128
+
+// sum is HMAC-SHA256 of tenantID under the secret (RFC 2104),
+// H((K ^ opad) || H((K ^ ipad) || m)), built on sha256.Sum256 over
+// stack buffers: crypto/hmac allocates its two digests and the tag
+// slice on every call. Tag is computed with crypto/hmac, which keeps
+// the two independent.
+func (h HMACAuth) sum(tenantID string) [sha256.Size]byte {
+	var key [sha256.BlockSize]byte
+	if len(h.Secret) > sha256.BlockSize {
+		k := sha256.Sum256(h.Secret)
+		copy(key[:], k[:])
+	} else {
+		copy(key[:], h.Secret)
+	}
+	var buf [sha256.BlockSize + inlineID]byte
+	var inner []byte
+	if n := sha256.BlockSize + len(tenantID); n <= len(buf) {
+		inner = buf[:n]
+	} else {
+		inner = make([]byte, n)
+	}
+	for i, b := range key {
+		inner[i] = b ^ 0x36
+	}
+	copy(inner[sha256.BlockSize:], tenantID)
+	innerSum := sha256.Sum256(inner)
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i, b := range key {
+		outer[i] = b ^ 0x5c
+	}
+	copy(outer[sha256.BlockSize:], innerSum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // Chain tries authenticators in order, accepting the first success —

@@ -15,22 +15,43 @@ import (
 // authenticate, rate-check, enqueue, DRR dispatch, run, complete —
 // under 100-tenant contention, reporting wall-clock admissions/sec.
 // The jobs are near-empty FuncStages so the number tracks gateway
-// overhead, not workload.
+// overhead, not workload. Tenants present static bearer tokens.
 func BenchmarkGatewayAdmission(b *testing.B) {
-	const tenants = 100
-	sess, err := session.Open(calib.Local(), session.Options{})
-	if err != nil {
-		b.Fatalf("Open: %v", err)
-	}
-	toks := make(gateway.StaticTokens, tenants)
-	creds := make([]gateway.Credential, tenants)
-	for i := 0; i < tenants; i++ {
+	toks := make(gateway.StaticTokens, admissionTenants)
+	creds := make([]gateway.Credential, admissionTenants)
+	for i := range creds {
 		tok := fmt.Sprintf("tok-%03d", i)
 		toks[tok] = fmt.Sprintf("t%03d", i)
 		creds[i] = gateway.Credential{Token: tok}
 	}
-	g := gateway.New(sess, toks, gateway.Options{MaxConcurrent: 16})
-	for i := 0; i < tenants; i++ {
+	benchAdmission(b, toks, creds)
+}
+
+// BenchmarkGatewayAdmissionHMAC is BenchmarkGatewayAdmission with
+// HMAC-SHA256 credentials, the scheme whose check runs on every
+// submission of the gateway-scale workloads.
+func BenchmarkGatewayAdmissionHMAC(b *testing.B) {
+	auth := gateway.HMACAuth{Secret: []byte("bench-secret")}
+	creds := make([]gateway.Credential, admissionTenants)
+	for i := range creds {
+		id := fmt.Sprintf("t%03d", i)
+		creds[i] = gateway.Credential{TenantID: id, MAC: auth.Tag(id)}
+	}
+	benchAdmission(b, auth, creds)
+}
+
+// admissionTenants is the admission benchmarks' tenant population.
+const admissionTenants = 100
+
+// benchAdmission registers tenants t000..t099 behind auth and submits
+// b.N sleep jobs round-robin with creds, tenant i presenting creds[i].
+func benchAdmission(b *testing.B, auth gateway.Authenticator, creds []gateway.Credential) {
+	sess, err := session.Open(calib.Local(), session.Options{})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	g := gateway.New(sess, auth, gateway.Options{MaxConcurrent: 16})
+	for i := range creds {
 		if err := g.RegisterTenant(fmt.Sprintf("t%03d", i), gateway.TenantConfig{
 			Weight:        1 + i%4,
 			MaxConcurrent: 4,
@@ -43,7 +64,7 @@ func BenchmarkGatewayAdmission(b *testing.B) {
 	b.ResetTimer()
 	rig.Sim.Spawn("bench", func(p *des.Proc) {
 		for i := 0; i < b.N; i++ {
-			if _, err := g.Submit(p, creds[i%tenants], sleepJob("j", time.Microsecond)); err != nil {
+			if _, err := g.Submit(p, creds[i%len(creds)], sleepJob("j", time.Microsecond)); err != nil {
 				b.Errorf("submit %d: %v", i, err)
 				return
 			}

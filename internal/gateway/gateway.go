@@ -19,6 +19,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/faaspipe/faaspipe/internal/core"
@@ -256,7 +257,11 @@ func (tk *Ticket) Wait(p *des.Proc) (*core.RunReport, error) {
 	return tk.rep, tk.err
 }
 
+// finish completes the ticket and drops its job: a finished ticket
+// stays reachable for as long as its holder keeps it, and its
+// workflow, stages and closures are garbage from here on.
 func (tk *Ticket) finish(rep *core.RunReport, err error, at time.Duration) {
+	tk.job = session.Job{}
 	tk.rep, tk.err = rep, err
 	tk.Finished = at
 	tk.done = true
@@ -349,7 +354,7 @@ func (g *Gateway) launch(t *tenant) {
 	g.active++
 	tk.Started = g.sim.Now()
 	g.seq++
-	g.sim.Spawn(fmt.Sprintf("gw/%s/%d", t.id, g.seq), func(p *des.Proc) {
+	g.sim.Spawn("gw/"+t.id+"/"+strconv.FormatInt(g.seq, 10), func(p *des.Proc) {
 		rep, err := g.sess.SubmitIn(p, tk.job)
 		t.inflight--
 		g.active--

@@ -233,6 +233,18 @@ func (pr *Provisioner) Clusters() []*Cluster {
 	return out
 }
 
+// Cost sums the accumulated cost of every cluster ever provisioned, in
+// provisioning order: billing.PriceBook.CacheCost(pr.Clusters())
+// without copying the cluster list, for callers that snapshot it
+// around every stage.
+func (pr *Provisioner) Cost() float64 {
+	var total float64
+	for _, c := range pr.clusters {
+		total += c.Cost()
+	}
+	return total
+}
+
 // item is one stored value; the LRU list element's Value points here.
 type item struct {
 	key string
